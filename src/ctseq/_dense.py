@@ -18,11 +18,17 @@ DEFAULT_DENSE_CAP = 2**26
 
 
 class DenseChain:
-    """Iterates cur, cur*P, cur*P^2, ... as dense integer arrays."""
+    """Iterates cur, cur*P, cur*P^2, ... as dense integer arrays.
+
+    ``count`` is the number of multiplications done so far and ``steps``
+    the number the size guard was checked for (see ``reserve``).
+    """
 
     def __init__(self, start, P, steps, mod, dense_cap=DEFAULT_DENSE_CAP):
         self.nvars = start.nvars
         self.mod = mod
+        self.dense_cap = dense_cap
+        self.count = 0
         self.pterms = sorted(P.with_modulus(mod).terms.items())
         lo_p = [0] * self.nvars
         hi_p = [0] * self.nvars
@@ -38,26 +44,29 @@ class DenseChain:
             for i, x in enumerate(e):
                 lo_s[i] = min(lo_s[i], x)
                 hi_s[i] = max(hi_s[i], x)
-        final_shape = [
-            (hi_s[i] - lo_s[i]) + steps * (hi_p[i] - lo_p[i]) + 1
-            for i in range(self.nvars)
-        ]
-        cells = 1
-        for s in final_shape:
-            cells *= s
-        if cells > dense_cap:
-            raise ResourceLimitError(
-                "dense power chain needs %d cells, cap is %d" % (cells, dense_cap)
-            )
-        if (mod - 1) ** 2 * max(len(self.pterms), 1) >= 2**63:
+        self._start_shape = [(hi_s[i] - lo_s[i]) + 1 for i in range(self.nvars)]
+        self.reserve(steps)
+        # reduce after every term when a whole step could overflow int64
+        self._reduce_each = (mod - 1) ** 2 * max(len(self.pterms), 1) >= 2**63
+        if (mod - 1) ** 2 + mod >= 2**63:
             raise ResourceLimitError(
                 "modulus %d too large for exact int64 dense arithmetic" % mod
             )
-        shape = [(hi_s[i] - lo_s[i]) + 1 for i in range(self.nvars)]
-        self.arr = np.zeros(shape, dtype=np.int64)
+        self.arr = np.zeros(self._start_shape, dtype=np.int64)
         for e, c in start.terms.items():
             self.arr[tuple(e[i] - lo_s[i] for i in range(self.nvars))] = c
         self.offset = lo_s
+
+    def reserve(self, steps):
+        """Check the size guard for ``steps`` multiplications in total."""
+        cells = 1
+        for i in range(self.nvars):
+            cells *= self._start_shape[i] + steps * (self.hi_p[i] - self.lo_p[i])
+        if cells > self.dense_cap:
+            raise ResourceLimitError(
+                "dense power chain needs %d cells, cap is %d" % (cells, self.dense_cap)
+            )
+        self.steps = steps
 
     def step(self):
         """Multiply the current array by P once."""
@@ -72,9 +81,12 @@ class DenseChain:
                 for i in range(self.nvars)
             )
             out[sl] += c * arr
+            if self._reduce_each:
+                out[sl] %= self.mod
         out %= self.mod
         self.arr = out
         self.offset = [self.offset[i] + lo_p[i] for i in range(self.nvars)]
+        self.count += 1
 
     def to_poly(self):
         terms = {}

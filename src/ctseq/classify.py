@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -154,8 +154,9 @@ def _naive_bound_digits(p, window_size):
     if window_size > 200_000:
         raise ResourceLimitError("window too large to size the a priori bound")
     exponent = p**window_size
-    getcontext().prec = len(str(exponent)) + 25
-    return int(Decimal(exponent) * Decimal(p).log10()) + 1
+    with localcontext() as ctx:
+        ctx.prec = len(str(exponent)) + 25
+        return int(Decimal(exponent) * Decimal(p).log10()) + 1
 
 
 def verdict(P, Q, p, a=1, state_cap=DEFAULT_STATE_CAP):
@@ -163,12 +164,17 @@ def verdict(P, Q, p, a=1, state_cap=DEFAULT_STATE_CAP):
 
     The window is built from P alone (coding by Q never affects the
     answer, nor does the exponent a); Q and a are echoed into the
-    record so callers can tell what was asked.
+    record so callers can tell what was asked.  Status "inconclusive"
+    means the reachable states exceed ``state_cap``; every other guard,
+    such as the digit cap on building the matrices, raises
+    ResourceLimitError.
     """
     rep = LinRep(P, LaurentPoly.one(P.nvars), p, 1)
     index = rep.index_set
     settle = rep.settle_exponent()
     deg = P.degree()
+    # a refused matrix build is a guard to report, not an open question
+    rep.all_gammas()
     try:
         reach = reachable_states(rep, state_cap)
         _verify_witness(P, p, rep, reach.witness_n0)

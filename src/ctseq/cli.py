@@ -56,6 +56,14 @@ def _load_polys(args):
     return textio._widen(P, nvars), textio._widen(Q, nvars)
 
 
+def _check_counts(args):
+    """-a, -n and -L are counts of at least one."""
+    for flag in ("a", "n", "L"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise _UsageError("-%s must be >= 1, got %d" % (flag, value))
+
+
 def _check_prime(p):
     if not _is_prime(p):
         raise _UsageError("-p expects a prime, got %d" % p)
@@ -188,6 +196,8 @@ def _cmd_freq(args):
 def _cmd_gaps(args):
     P, Q = _load_polys(args)
     _check_prime(args.p)
+    if args.L > args.n:
+        raise _UsageError("-L %d exceeds the prefix length -n %d" % (args.L, args.n))
     seq = build_reduction(P, Q, args.p, args.a).prefix(args.n)
     report = classify.gap_stats(seq, args.L, args.n)
     print("word\tcount\tmax_gap\tcensored")
@@ -284,6 +294,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_counts(args)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

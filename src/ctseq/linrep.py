@@ -13,15 +13,19 @@ vec(Q) . V(n).  Digits are taken least significant first throughout.
 from __future__ import annotations
 
 import itertools
+import threading
 
 import numpy as np
 
+from ._dense import DenseChain
 from .errors import ResourceLimitError, RingMismatchError
 from .laurent import LaurentPoly
 
 DEFAULT_WINDOW_CAP = 5000
 # building every digit matrix is refused for primes above this
 DEFAULT_DIGIT_CAP = 101
+# elements read per chunk while gathering one digit matrix
+_GATHER_CHUNK = 2**18
 
 
 def digits_lsd(n, p):
@@ -39,13 +43,12 @@ class IndexSet:
     """The ordered exponent window T = [-m, m]^r.
 
     ``vectors`` lists the window lexicographically ascending and
-    ``constant_index`` is the position of the all-zero vector.  The
-    ordering is positional arithmetic in base 2m+1, which lets matrix
-    construction map exponent vectors to indices without dictionaries.
+    ``constant_index`` is the position of the all-zero vector.
+    ``_np_vectors`` holds the same vectors as an (|T|, r) array.
     """
 
     __slots__ = ("r", "m", "vectors", "position", "constant_index",
-                 "_np_vectors", "_weights")
+                 "_np_vectors")
 
     def __init__(self, r, m):
         if r < 1 or m < 0:
@@ -57,10 +60,6 @@ class IndexSet:
         self.constant_index = self.position[(0,) * r]
         self._np_vectors = np.array(self.vectors, dtype=np.int64).reshape(
             len(self.vectors), r
-        )
-        side = 2 * m + 1
-        self._weights = np.array(
-            [side ** (r - 1 - i) for i in range(r)], dtype=np.int64
         )
 
     def __len__(self):
@@ -116,11 +115,12 @@ class StateVector:
 class LinRep:
     """The triple (vec(Q), gamma, V(0)) over Z/p^a Z.
 
-    Matrices are built lazily per digit and cached; the cache is an
-    append-only dict, safe for concurrent readers (a rebuild race writes
-    identical content).  For a > 1 the base polynomial must satisfy
-    P(x)^p = P(x^p) mod p^a, which primepower.build_reduction arranges;
-    with a = 1 any P qualifies.
+    Matrices are built lazily per digit from one dense power chain of P
+    and cached in an append-only dict.  Builds hold a lock, so threads
+    sharing an instance all get the one cached matrix per digit.  For
+    a > 1 the base polynomial must satisfy P(x)^p = P(x^p) mod p^a,
+    which primepower.build_reduction arranges; with a = 1 any P
+    qualifies.
 
     Matrix and vector entries are residues; they are stored as float64
     when every accumulated dot product fits below 2^53 (BLAS is far
@@ -160,7 +160,9 @@ class LinRep:
         v0.setflags(write=False)
         self.v0 = v0
         self._gammas = {}
-        self._ppows = [LaurentPoly.one(P.nvars, self.modulus)]
+        # the power chain of P; builds run one at a time under the lock
+        self._chain = None
+        self._lock = threading.Lock()
 
     # -- vectors ---------------------------------------------------------
 
@@ -180,20 +182,6 @@ class LinRep:
         row.setflags(write=False)
         return row
 
-    def _ppow(self, k):
-        if len(self._ppows) <= k and self.P.nvars >= 2:
-            # multivariate powers through dense arrays; dictionary
-            # products choke on the term counts of stable bases
-            from ._dense import DenseChain
-
-            chain = DenseChain(self._ppows[-1], self.P, k, self.modulus)
-            while len(self._ppows) <= k:
-                chain.step()
-                self._ppows.append(chain.to_poly())
-        while len(self._ppows) <= k:
-            self._ppows.append(self._ppows[-1] * self.P)
-        return self._ppows[k]
-
     # -- matrices ----------------------------------------------------------
 
     def gamma(self, k):
@@ -202,24 +190,69 @@ class LinRep:
             raise ValueError("digit %d out of range for base %d" % (k, self.p))
         g = self._gammas.get(k)
         if g is None:
-            g = self._build_gamma(k)
-            self._gammas[k] = g
+            g = self._gamma_built(k, k)
         return g
 
-    def _build_gamma(self, k):
+    def _gamma_built(self, k, horizon):
+        """Build gamma(k) once; the power chain is checked up to P^horizon."""
+        with self._lock:
+            g = self._gammas.get(k)
+            if g is not None:
+                return g
+            chain = self._chain
+            if chain is None or chain.count > k:
+                chain = DenseChain(LaurentPoly.one(self.P.nvars, self.modulus),
+                                   self.P, horizon, self.modulus)
+                self._chain = chain
+            elif chain.steps < k:
+                chain.reserve(horizon)
+            while chain.count < k:
+                chain.step()
+            g = self._gather_gamma(chain.arr, chain.offset)
+            self._gammas[k] = g
+            if len(self._gammas) == self.p:
+                self._chain = None
+            return g
+
+    def _gather_gamma(self, arr, offset):
+        """gamma(k) from P^k, given densely from exponent vector ``offset``.
+
+        Entry (i, j) is the coefficient of x^(p*j - i), so each column is
+        a window of P^k read backwards from p*j: one strided gather over
+        a box of P^k, done in chunks of columns.  Only columns whose
+        window meets the support of P^k are read, and the box spans just
+        the exponents those columns reach.  Only nonzero entries are
+        written, so the untouched pages of the zeroed matrix stay free.
+        """
         index = self.index_set
-        p = self.p
-        g = np.zeros((len(index), len(index)), dtype=self._dtype)
-        pk = self._ppow(k)
-        # entry (i, j) = coeff of x^(p*j - i); scan terms of P^k once,
-        # resolving window positions arithmetically
-        jmat = index._np_vectors
-        all_j = np.arange(len(index))
-        for e, c in pk.terms.items():
-            imat = p * jmat - np.array(e, dtype=np.int64)
-            valid = (np.abs(imat) <= index.m).all(axis=1)
-            rows = ((imat[valid] + index.m) * index._weights).sum(axis=1)
-            g[rows, all_j[valid]] = c
+        p, m, n = self.p, index.m, len(index)
+        g = np.zeros((n, n), dtype=self._dtype)
+        # per axis, the columns j whose exponents p*j - i (|i| <= m) meet
+        # the exponents o .. o + s - 1 that arr holds
+        lo = [max(-m, -((m - o) // p)) for o in offset]
+        hi = [min(m, (o + s - 1 + m) // p) for o, s in zip(offset, arr.shape)]
+        if all(a <= b for a, b in zip(lo, hi)):
+            # box[e - base] is the coefficient of x^e, e in [p*lo - m, p*hi + m]
+            base = [p * a - m for a in lo]
+            box = np.zeros([p * (b - a) + 2 * m + 1 for a, b in zip(lo, hi)],
+                           dtype=np.int64)
+            src, dst = [], []
+            for b, w, o, s in zip(base, box.shape, offset, arr.shape):
+                first, stop = max(b, o), min(b + w, o + s)
+                src.append(slice(first - o, stop - o))
+                dst.append(slice(first - b, stop - b))
+            box[tuple(dst)] = arr[tuple(src)]
+            strides = np.array(box.strides, dtype=np.int64) // box.itemsize
+            vecs = index._np_vectors
+            cols = np.flatnonzero(((vecs >= lo) & (vecs <= hi)).all(axis=1))
+            col_at = (p * (vecs[cols] - lo)) @ strides
+            row_at = (m - vecs) @ strides
+            flat = box.ravel()
+            step = max(1, _GATHER_CHUNK // n)
+            for c in range(0, len(cols), step):
+                vals = flat[col_at[c:c + step, None] + row_at]
+                jj, ii = np.nonzero(vals)
+                g[ii, cols[c + jj]] = vals[jj, ii]
         g.setflags(write=False)
         return g
 
@@ -230,7 +263,14 @@ class LinRep:
                 "materializing %d digit matrices exceeds cap %d"
                 % (self.p, self.digit_cap)
             )
-        return [self.gamma(k) for k in range(self.p)]
+        out = []
+        for k in range(self.p):
+            g = self._gammas.get(k)
+            if g is None:
+                # one chain checked up to P^(p-1) serves every digit in turn
+                g = self._gamma_built(k, self.p - 1)
+            out.append(g)
+        return out
 
     # -- evaluation -----------------------------------------------------------
 

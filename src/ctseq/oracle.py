@@ -58,6 +58,37 @@ def ct_pow_mod(P, Q, n, modulus, max_n=DEFAULT_MAX_N,
     return cur.get((0,) * nvars, 0)
 
 
+def power_terms(P, n, modulus, term_guard=DEFAULT_TERM_GUARD,
+                dense_cells=DEFAULT_DENSE_CELLS):
+    """P^n mod ``modulus`` as an exponent -> coefficient dict.
+
+    The same chain of n full multiplications by P as ct_pow_mod, so the
+    coefficient of x^e is ct_pow_mod(P, x^-e, n, modulus); it runs on a
+    dense array when the result fits and int64 stays exact.
+    """
+    if n < 0:
+        raise ValueError("exponent must be >= 0")
+    P = P.with_modulus(modulus)
+    nvars = P.nvars
+    lo, hi = _bounds(P.terms, nvars)
+    cells = 1
+    for i in range(nvars):
+        cells *= (hi[i] - lo[i]) * n + 1
+    if cells > dense_cells or (modulus - 1) ** 2 * max(len(P.terms), 1) >= 2**62:
+        cur = {(0,) * nvars: 1 % modulus}
+        for _ in range(n):
+            cur = _dict_mul(cur, P.terms, modulus, term_guard)
+        return cur
+    arr = np.full((1,) * nvars, 1 % modulus, dtype=np.int64)
+    start = [0] * nvars
+    for _ in range(n):
+        arr, start = _shift_add_mul(arr, start, P.terms, modulus, nvars)
+    return {
+        tuple(int(x) + s for x, s in zip(idx, start)): int(arr[idx])
+        for idx in zip(*np.nonzero(arr))
+    }
+
+
 def sequence(P, Q, modulus, count, max_n=DEFAULT_MAX_N,
              term_guard=DEFAULT_TERM_GUARD, dense_cells=DEFAULT_DENSE_CELLS):
     """The first ``count`` values of n -> ct(P^n Q) mod ``modulus``."""

@@ -134,6 +134,21 @@ def test_verdict_inconclusive():
     assert v.zero_witness is None
 
 
+def test_verdict_digit_cap_is_a_guard_not_inconclusive():
+    P = parse_poly("x^-1 + 1 + x")
+    with pytest.raises(ResourceLimitError, match="digit matrices"):
+        verdict(P, one, 1000003)
+
+
+def test_verdict_keeps_global_decimal_precision():
+    from decimal import getcontext, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 41
+        verdict(preset("motzkin")[0], one, 3)
+        assert getcontext().prec == 41
+
+
 def test_zero_frequency_counts():
     P, _ = preset("trinomial")
     rep = LinRep(P, one, 3)

@@ -167,6 +167,27 @@ def test_resource_cap_exits_two(capsys):
     assert "resource limit" in err
 
 
+def test_digit_cap_exits_two(capsys):
+    code, out, err = run_cli(capsys, "classify", "--poly", "x^-1+1+x",
+                             "-p", "1000003")
+    assert code == 2
+    assert err.startswith("resource limit: ")
+    assert "inconclusive" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--poly", "@catalan", "-p", "2", "-a", "0"),
+    ("freq", "--poly", "@trinomial", "-p", "3", "-n", "0"),
+    ("gaps", "--poly", "@motzkin", "-p", "2", "-L", "0", "-n", "8"),
+    ("gaps", "--poly", "@motzkin", "-p", "2", "-L", "9", "-n", "8"),
+])
+def test_count_arguments_below_range_exit_one(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ctseq.cli", "generate", "--poly", "@pascal",

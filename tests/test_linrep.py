@@ -1,12 +1,17 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctseq import oracle
 from ctseq.errors import ResourceLimitError, RingMismatchError
 from ctseq.laurent import LaurentPoly
 from ctseq.linrep import IndexSet, LinRep, build_index, digits_lsd
+from ctseq.primepower import build_reduction
 from ctseq.textio import parse_poly, preset
 
 one = LaurentPoly.one(1)
@@ -208,3 +213,121 @@ def test_digit_cap():
     assert rep.eval_term(5) is not None  # single digits build lazily
     with pytest.raises(ResourceLimitError):
         rep.all_gammas()
+
+
+def test_power_chain_exact_near_the_int64_modulus_limit():
+    # residues near 2^31 times three terms pass 2^63 within one chain step
+    P = parse_poly("-x^-1 - 1 - x")
+    p = 2147483647
+    rep = LinRep(P, one, p)
+    for n in (0, 1, 2, 30, p + 30):
+        want = 1
+        for d in digits_lsd(n, p):  # Lucas: the digits multiply
+            want = want * oracle.ct_pow_mod(P, one, d, p) % p
+        assert rep.eval_term(n) == want, n
+
+
+def test_gamma_threads_share_one_build():
+    # ten threads race for the digit matrices of one fresh instance, each
+    # asking for the digits in a different order; every answer must equal
+    # a single-thread build
+    P = parse_poly("x^-3 + 2*x^-1 + 1 + x^2 + 3*x^3")
+    want = LinRep(P, one, 11).all_gammas()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(30):
+            rep = LinRep(P, one, 11)
+            start = threading.Barrier(10, timeout=60)
+            got = [None] * 10
+
+            def work(t):
+                start.wait()
+                order = [(t + s) % 11 for s in range(11)]
+                got[t] = {k: rep.gamma(k) for k in order}
+
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(10)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for t, built in enumerate(got):
+                for k, g in built.items():
+                    assert np.array_equal(g, want[k]), (trial, t, k)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _expected_gammas(P, p, mod, index):
+    """gamma(k)[i, j] = ct(P^k x^(i - p*j)) mod p^a, read off the oracle."""
+    vecs = np.array(index.vectors, dtype=np.int64)
+    wanted = p * vecs[None, :, :] - vecs[:, None, :]  # [i, j] -> p*j - i
+    out = []
+    for k in range(p):
+        terms = oracle.power_terms(P, k, mod)
+        exps = np.array(list(terms), dtype=np.int64).reshape(-1, P.nvars)
+        low = exps.min(axis=0)
+        dense = np.zeros(exps.max(axis=0) - low + 1, dtype=np.int64)
+        dense[tuple((exps - low).T)] = list(terms.values())
+        at = wanted - low
+        inside = ((at >= 0) & (at < dense.shape)).all(axis=-1)
+        g = np.zeros(inside.shape, dtype=np.int64)
+        g[inside] = dense[tuple(at[inside].T)]
+        out.append(g)
+    return out
+
+
+@st.composite
+def _digit_cases(draw):
+    r = draw(st.integers(1, 3))
+    span = (3, 2, 2)[r - 1]
+    exps = st.tuples(*[st.integers(-span, span)] * r)
+    terms = draw(st.dictionaries(exps, st.integers(1, 6), min_size=1,
+                                 max_size=(6, 5, 4)[r - 1]))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    return LaurentPoly(r, terms), p, draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_digit_cases())
+def test_gamma_matches_definition(case):
+    P, p, lazy_digit = case
+    rep = LinRep(P, LaurentPoly.one(P.nvars), p)
+    vecs = rep.index_set.vectors
+    gammas = rep.all_gammas()
+    for k in range(p):
+        for a, i in enumerate(vecs):
+            for b, j in enumerate(vecs):
+                shift = LaurentPoly(P.nvars, {tuple(x - p * y for x, y in zip(i, j)): 1})
+                assert gammas[k][a, b] == oracle.ct_pow_mod(P, shift, k, p), (k, i, j)
+    # one digit first, then every digit upwards: the lazy power chain
+    # restarts below its current power and extends above its guard
+    lazy = LinRep(P, LaurentPoly.one(P.nvars), p)
+    order = [lazy_digit] + list(range(p))
+    for k in order:
+        g = lazy.gamma(k)
+        assert g.dtype == gammas[k].dtype
+        assert g.tobytes() == gammas[k].tobytes(), k
+
+
+@pytest.mark.parametrize("p,a", [(2, 3), (5, 2)])
+def test_gamma_matches_definition_apery_stable_base(p, a):
+    P, Q = preset("apery")
+    red = build_reduction(P, Q, p, a)
+    rep = red.tilde_rep
+    mod = p**a
+    gammas = rep.all_gammas()
+    want = _expected_gammas(red.p_tilde, p, mod, rep.index_set)
+    for k in range(p):
+        assert np.array_equal(gammas[k], want[k]), k
+    # entries against ct_pow_mod itself where one multiplication suffices
+    rng = random.Random(p)
+    vecs = rep.index_set.vectors
+    for _ in range(40):
+        row, col = rng.randrange(len(vecs)), rng.randrange(len(vecs))
+        e = tuple(x - p * y for x, y in zip(vecs[row], vecs[col]))
+        shift = LaurentPoly(3, {e: 1})
+        assert gammas[1][row, col] == oracle.ct_pow_mod(red.p_tilde, shift, 1, mod)
+    lazy = build_reduction(P, Q, p, a).tilde_rep.gamma(p - 1)
+    assert lazy.tobytes() == gammas[p - 1].tobytes()

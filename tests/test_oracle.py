@@ -91,6 +91,24 @@ def test_halving_handles_sparse_support():
     assert fast == slow
 
 
+def test_power_terms_match_ct_pow_mod():
+    rng = random.Random(8)
+    from conftest import random_poly
+
+    for nvars in (1, 2, 3):
+        for _ in range(5):
+            P = random_poly(rng, nvars=nvars, degree_max=1)
+            mod = rng.choice([2, 4, 9, 25])
+            n = rng.randrange(5)
+            dense = oracle.power_terms(P, n, mod)
+            dicts = oracle.power_terms(P, n, mod, dense_cells=0)
+            assert dense == dicts
+            for e in {tuple(rng.randint(-n, n) for _ in range(nvars))
+                      for _ in range(10)} | set(dense):
+                shift = LaurentPoly(nvars, {tuple(-x for x in e): 1})
+                assert dense.get(e, 0) == ct_pow_mod(P, shift, n, mod)
+
+
 def test_apery_against_reference_values():
     # 1, 5, 73, 1445, 33001, 819005, ... reduced mod 27000
     P, Q = preset("apery")
