@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle
 from .errors import ResourceLimitError
 from .laurent import LaurentPoly
-from .linrep import LinRep
+from .linrep import LinRep, check_digit_cap
 from .morphism import MorphicStream
 from .primepower import build_reduction_multi
 
@@ -339,6 +339,8 @@ class ScanReport:
 
 def random_univariate(rng, degree_max, coeff_max):
     """A nonzero one-variable polynomial with bounded degree and entries."""
+    if degree_max < 0 or coeff_max < 1:
+        raise ValueError("need degree_max >= 0 and coeff_max >= 1")
     while True:
         terms = {}
         for e in range(-degree_max, degree_max + 1):
@@ -355,8 +357,12 @@ def conjecture_scan(count=200, degree_max=3, coeff_max=3, primes=(2, 3, 5),
 
     Every found witness is compared against the p^deg(P) threshold;
     rows that meet or exceed it are findings reported as violations,
-    never assertion failures.
+    never assertion failures.  A prime above the digit cap raises
+    ResourceLimitError before any scanning, so "inconclusive" only ever
+    means a state-cap overflow.
     """
+    for p in primes:
+        check_digit_cap(p)
     rng = random.Random(seed)
     corpus = [random_univariate(rng, degree_max, coeff_max) for _ in range(count)]
     report = ScanReport(

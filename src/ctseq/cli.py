@@ -41,11 +41,19 @@ def _is_prime(n):
     return True
 
 
+def _preset(text):
+    """The (P, Q) pair named by ``@name``."""
+    try:
+        return preset(text[1:])
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+
+
 def _load_polys(args):
     """(P, Q) from --poly/--q, resolving @preset names."""
     text = args.poly
     if text.startswith("@"):
-        P, preset_q = preset(text[1:])
+        P, preset_q = _preset(text)
         if getattr(args, "q", None) is None:
             return P, preset_q
         Q = parse_poly(args.q)
@@ -222,7 +230,7 @@ def _parse_part(text):
 
 def _cmd_combine(args):
     _check_prime(args.p)
-    P = preset(args.poly[1:])[0] if args.poly.startswith("@") else parse_poly(args.poly)
+    P = _preset(args.poly)[0] if args.poly.startswith("@") else parse_poly(args.poly)
     parts = [_parse_part(text) for text in args.part]
     nvars = max([P.nvars] + [q.nvars for _, q, _ in parts])
     P = textio._widen(P, nvars)
@@ -233,9 +241,18 @@ def _cmd_combine(args):
 
 
 def _cmd_conjecture(args):
+    for flag, low in (("count", 0), ("degree_max", 0), ("coeff_max", 1)):
+        value = getattr(args, flag)
+        if value < low:
+            raise _UsageError("--%s must be >= %d, got %d"
+                              % (flag.replace("_", "-"), low, value))
     primes = []
     for piece in args.primes.split(","):
-        p = int(piece)
+        try:
+            p = int(piece)
+        except ValueError:
+            raise _UsageError("--primes expects comma separated integers, got %r"
+                              % args.primes) from None
         _check_prime(p)
         primes.append(p)
     report = classify.conjecture_scan(

@@ -218,11 +218,3 @@ def _power_exponent(modulus, p):
     if m != 1 or a == 0:
         raise ValueError("modulus %d is not a power of %d" % (modulus, p))
     return a
-
-
-def run(d, n, row=None):
-    return d.run(n, row)
-
-
-def export(d, format):  # noqa: A002
-    return d.export(format)

@@ -25,7 +25,7 @@ def sequence(P, Q, p, a, count, engine="linrep", red=None, **oracle_opts):
     if red is None:
         red = build_reduction(P, Q, p, a)
     if engine == "linrep":
-        return [red.term(n) for n in range(count)]
+        return red.terms(range(count))
     if engine == "primepower":
         return red.prefix(count)
     if engine == "morphism":

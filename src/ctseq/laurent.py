@@ -273,27 +273,3 @@ class LaurentPoly:
 
         ring = "Z" if self.modulus is None else "Z/%d" % self.modulus
         return "<LaurentPoly %s over %s>" % (format_poly(self), ring)
-
-
-def add(a, b):
-    return a + b
-
-
-def mul(a, b, term_guard=None):
-    return a.mul(b, term_guard)
-
-
-def pow(a, n, term_guard=None):  # noqa: A001 - mirrors the operation name
-    return a.pow(n, term_guard)
-
-
-def lambda_k(a, k):
-    return a.lambda_k(k)
-
-
-def degree(a):
-    return a.degree()
-
-
-def coeff(a, exponents):
-    return a.coeff(exponents)

@@ -28,6 +28,14 @@ DEFAULT_DIGIT_CAP = 101
 _GATHER_CHUNK = 2**18
 
 
+def check_digit_cap(p, digit_cap=DEFAULT_DIGIT_CAP):
+    """Refuse building all p digit matrices for primes above the cap."""
+    if p > digit_cap:
+        raise ResourceLimitError(
+            "materializing %d digit matrices exceeds cap %d" % (p, digit_cap)
+        )
+
+
 def digits_lsd(n, p):
     """Base-p digits of n, least significant first; [0] for n = 0."""
     if n == 0:
@@ -258,11 +266,7 @@ class LinRep:
 
     def all_gammas(self):
         """Every digit matrix; refused for primes above the digit cap."""
-        if self.p > self.digit_cap:
-            raise ResourceLimitError(
-                "materializing %d digit matrices exceeds cap %d"
-                % (self.p, self.digit_cap)
-            )
+        check_digit_cap(self.p, self.digit_cap)
         out = []
         for k in range(self.p):
             g = self._gammas.get(k)
@@ -291,6 +295,40 @@ class LinRep:
         for d in digits:
             r = r @ self.gamma(d) % self.modulus
         return int(r[self.index_set.constant_index])
+
+    def eval_many(self, quotients, rows):
+        """eval_digits(digits_lsd(q, p), row) for every pair, as a list.
+
+        One digit position at a time, least significant first, every
+        row whose quotient has digit d there takes one product with
+        gamma(d).  A row stops once its quotient is used up; that equals
+        padding with zero digits, as gamma(0) fixes V(0), so a zero
+        quotient yields row[c].  ``rows`` is an (N, |T|) array of
+        residues; quotients must be non-negative and fit in int64.
+        """
+        q = np.array(quotients, dtype=np.int64)
+        rows = np.array(rows, dtype=self._dtype)
+        if q.ndim != 1 or rows.shape != (len(q), len(self.index_set)):
+            raise ValueError("need N quotients and an (N, %d) row block"
+                             % len(self.index_set))
+        if (q < 0).any():
+            raise ValueError("indices must be >= 0")
+        p, mod = self.p, self.modulus
+        live = np.flatnonzero(q)
+        while live.size:
+            d = q[live] % p
+            q[live] //= p
+            # live positions grouped by their digit
+            order = live[np.argsort(d, kind="stable")]
+            start = 0
+            for k, stop in enumerate(np.cumsum(np.bincount(d)).tolist()):
+                if stop > start:
+                    sel = order[start:stop]
+                    # fmod equals % on non-negative values and is faster
+                    rows[sel] = np.fmod(rows[sel] @ self.gamma(k), mod)
+                start = stop
+            live = live[q[live] > 0]
+        return rows[:, self.index_set.constant_index].astype(np.int64).tolist()
 
     def eval_term(self, n):
         """ct(P^n Q) mod p^a (requires the stability hypothesis when a > 1)."""

@@ -12,6 +12,8 @@ p matrix-vector products per distinct letter ever seen.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import ResourceLimitError
@@ -41,8 +43,9 @@ class MorphicStream:
 
     ``letters[i]`` holds the i-th distinct window vector (as a tuple) in
     order of first appearance; ``prefix[n]`` is the letter id of V(n).
-    Extension mutates the stream and needs exclusive access; reading an
-    already generated prefix is safe concurrently.
+    Both lists only grow.  Extension holds a lock, so one thread at a
+    time grows them, and reading an already generated prefix is safe
+    concurrently.
     """
 
     def __init__(self, rep, prefix_cap=DEFAULT_PREFIX_CAP):
@@ -55,6 +58,7 @@ class MorphicStream:
         self._images = {}  # letter id -> tuple of p letter ids
         self.prefix = [0]
         self._cursor = 0  # next prefix position to expand
+        self._lock = threading.Lock()  # held by the one extender
 
     def __len__(self):
         return len(self.prefix)
@@ -85,14 +89,17 @@ class MorphicStream:
                 "prefix length %d exceeds cap %d" % (n, self.prefix_cap)
             )
         prefix = self.prefix
-        while len(prefix) < n:
-            ids = self._image_ids(prefix[self._cursor])
-            if self._cursor == 0:
-                # prolongability: the first image letter is V(0) itself
-                prefix.extend(ids[1:])
-            else:
-                prefix.extend(ids)
-            self._cursor += 1
+        if len(prefix) >= n:
+            return self
+        with self._lock:
+            while len(prefix) < n:
+                ids = self._image_ids(prefix[self._cursor])
+                if self._cursor == 0:
+                    # prolongability: the first image letter is V(0) itself
+                    prefix.extend(ids[1:])
+                else:
+                    prefix.extend(ids)
+                self._cursor += 1
         return self
 
     def state_vector(self, n):
@@ -117,11 +124,3 @@ class MorphicStream:
 
     def letter_count(self):
         return len(self.letters)
-
-
-def coded_prefix(stream, row, n):
-    return stream.coded_prefix(row, n)
-
-
-def extend(stream, n):
-    return stream.extend(n)

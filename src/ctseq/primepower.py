@@ -13,6 +13,11 @@ sequence.  With a = 1 everything degenerates to the plain machinery.
 
 from __future__ import annotations
 
+import itertools
+import threading
+
+import numpy as np
+
 from ._dense import DEFAULT_DENSE_CAP, DenseChain, power_mod
 from .errors import ResourceLimitError
 from .laurent import LaurentPoly
@@ -26,6 +31,8 @@ from .linrep import (
 from .morphism import MorphicStream
 
 DEFAULT_BLOCK_CAP = 2**16
+# indices evaluated together by TildeReduction.terms
+_TERMS_CHUNK = 256
 
 
 def _p_adic_valuation(x, p):
@@ -76,7 +83,8 @@ class TildeReduction:
     ``block_rows[k]`` is the coding row for residue k of the index mod
     p^(a-1), i.e. the window coefficients of section_{p^ell}(P^k Q); the
     matrices of ``tilde_rep`` advance the quotient index.  Immutable
-    after construction except for the lazily grown letter stream.
+    after construction except for the letter stream, which is created
+    once under a lock and grown by one extender at a time.
     """
 
     def __init__(self, P, Qs, p, a,
@@ -122,28 +130,56 @@ class TildeReduction:
             self.p_tilde, self.reduced_codings[0][0], p, a,
             index_set=index, digit_cap=digit_cap,
         )
-        self.block_rows = [
-            self.tilde_rep.row_vector(q) for q in self.reduced_codings[0]
-        ]
-        self._all_rows = [self.block_rows] + [
-            [self.tilde_rep.row_vector(q) for q in codings]
-            for codings in self.reduced_codings[1:]
-        ]
+        # per coding, its rows stacked as one (p^(a-1), |T|) block
+        self._rows = []
+        for codings in self.reduced_codings:
+            block = np.stack([self.tilde_rep.row_vector(q) for q in codings])
+            block.setflags(write=False)
+            self._rows.append(block)
+        self.block_rows = list(self._rows[0])
         self._stream = None
+        self._stream_lock = threading.Lock()
 
     def stream(self):
         """The shared letter stream of the stable base (grown lazily)."""
-        if self._stream is None:
-            self._stream = MorphicStream(self.tilde_rep)
-        return self._stream
+        stream = self._stream
+        if stream is None:
+            with self._stream_lock:
+                if self._stream is None:
+                    self._stream = MorphicStream(self.tilde_rep)
+                stream = self._stream
+        return stream
 
     def term(self, n, which=0):
         """ct(P^n Q) mod p^a for a single index n >= 0."""
         if n < 0:
             raise ValueError("index must be >= 0")
         quotient, k = divmod(n, self.block_count)
-        row = self._all_rows[which][k]
+        row = self._rows[which][k]
         return self.tilde_rep.eval_digits(digits_lsd(quotient, self.p), row=row)
+
+    def terms(self, ns, which=0):
+        """ct(P^n Q) mod p^a for every n in ns, in order, as a list.
+
+        Indices go through LinRep.eval_many in chunks of a few hundred,
+        so memory does not grow with len(ns).  They must be >= 0 and fit
+        in int64; term() takes any single index.
+        """
+        block = self._rows[which]
+        rep = self.tilde_rep
+        out = []
+        ns = iter(ns)
+        while True:
+            chunk = list(itertools.islice(ns, _TERMS_CHUNK))
+            if not chunk:
+                return out
+            try:
+                n = np.array(chunk, dtype=np.int64)
+            except OverflowError:
+                raise ValueError("indices must fit in int64") from None
+            # a negative index has a negative quotient, which eval_many refuses
+            quotients, residues = np.divmod(n, self.block_count)
+            out.extend(rep.eval_many(quotients, block[residues]))
 
     def prefix(self, n, which=0):
         """The first n terms of ct(P^*) mod p^a, via the letter stream."""
@@ -153,7 +189,7 @@ class TildeReduction:
         quotient_len = -(-n // blocks)
         stream = self.stream()
         per_residue = [
-            stream.coded_prefix(row, quotient_len) for row in self._all_rows[which]
+            stream.coded_prefix(row, quotient_len) for row in self._rows[which]
         ]
         out = []
         for q in range(quotient_len):
@@ -177,11 +213,3 @@ def build_reduction(P, Q, p, a, **caps):
 def build_reduction_multi(P, Qs, p, a, **caps):
     """One reduction serving several codings over a shared window."""
     return TildeReduction(P, Qs, p, a, **caps)
-
-
-def term(red, n, which=0):
-    return red.term(n, which)
-
-
-def prefix(red, n, which=0):
-    return red.prefix(n, which)

@@ -247,6 +247,17 @@ def test_conjecture_scan_fixtures():
             assert it.conforms == (it.witness < it.bound)
 
 
+def test_conjecture_scan_digit_cap_is_a_guard_not_inconclusive():
+    # a prime above the digit cap is refused before scanning instead of
+    # being listed as an open case
+    with pytest.raises(ResourceLimitError):
+        conjecture_scan(count=2, primes=(2, 103), seed=1)
+    # a prime at the cap is scanned; windows of one close exactly
+    report = conjecture_scan(count=2, degree_max=1, primes=(2, 101), seed=1)
+    assert len(report.items) == 4
+    assert not report.inconclusive
+
+
 def test_conjecture_known_polynomials():
     from ctseq.classify import ScanItem
 

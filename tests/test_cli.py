@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctseq import oracle
+from ctseq import engines, oracle
 from ctseq.cli import main
 from ctseq.textio import preset
 
@@ -175,6 +181,14 @@ def test_digit_cap_exits_two(capsys):
     assert "inconclusive" not in out
 
 
+def test_conjecture_digit_cap_exits_two(capsys):
+    code, out, err = run_cli(capsys, "conjecture", "--count", "2",
+                             "--primes", "2,103", "--seed", "1")
+    assert code == 2
+    assert err.startswith("resource limit: ")
+    assert "INCONCLUSIVE" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "--poly", "@catalan", "-p", "2", "-a", "0"),
     ("freq", "--poly", "@trinomial", "-p", "3", "-n", "0"),
@@ -196,3 +210,95 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == ["1", "0", "0", "0"]
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every subcommand exits with a documented code, never a traceback
+# ---------------------------------------------------------------------------
+
+_POLY = st.one_of(
+    st.lists(st.sampled_from(["x", "x^-1", "x^2", "2*x^-2", "1", "3", "y",
+                              "x*y^-1", "-x"]),
+             min_size=1, max_size=4).map(" + ".join),
+    st.sampled_from(["@pascal", "@catalan", "@motzkin", "@trinomial"]),
+)
+_JUNK_POLY = st.one_of(
+    st.sampled_from(["@bogus", "", "x +", "x^", "(x", "x / (1+x)", "x^-1 +@"]),
+    st.lists(st.sampled_from(["x", "y", "^", "+", "-", "*", "/", "2", "(", ")",
+                              "@pascal"]), max_size=5).map(" ".join),
+)
+_JUNK_INT = st.sampled_from(["", "x", "1.5", "-1", "0", "-7"])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# subcommand -> (flag, valid values, invalid values); "--json" is a switch
+_SUBCOMMANDS = {
+    "classify": [("--poly", _POLY, _JUNK_POLY), ("-p", _ints(2, 5), _JUNK_INT),
+                 ("-a", _ints(1, 3), _JUNK_INT), ("--json", None, None)],
+    "generate": [("--poly", _POLY, _JUNK_POLY), ("--q", _POLY, _JUNK_POLY),
+                 ("-p", st.sampled_from(["2", "3", "5", "103"]), _JUNK_INT),
+                 ("-a", _ints(1, 3), _JUNK_INT), ("-n", _ints(1, 20), _JUNK_INT),
+                 ("--engine", st.sampled_from(engines.ENGINE_NAMES),
+                  st.just("bogus"))],
+    "export-dfao": [("--poly", _POLY, _JUNK_POLY), ("-p", _ints(2, 3), _JUNK_INT),
+                    ("-a", _ints(1, 2), _JUNK_INT),
+                    ("--format", st.sampled_from(["dot", "walnut"]), st.just("svg")),
+                    ("--direction", st.sampled_from(["forward", "reverse"]),
+                     st.just("up"))],
+    "freq": [("--poly", _POLY, _JUNK_POLY), ("-p", _ints(2, 5), _JUNK_INT),
+             ("-a", _ints(1, 3), _JUNK_INT), ("-n", _ints(1, 30), _JUNK_INT)],
+    "gaps": [("--poly", _POLY, _JUNK_POLY), ("-p", _ints(2, 5), _JUNK_INT),
+             ("-L", _ints(1, 4), _JUNK_INT), ("-n", _ints(1, 30), _JUNK_INT)],
+    "combine": [("--poly", _POLY, _JUNK_POLY), ("-p", _ints(2, 5), _JUNK_INT),
+                ("-a", _ints(1, 2), _JUNK_INT),
+                ("--part", st.sampled_from(["0,1,1", "2,x,3", "1,x^-1 + 2,1"]),
+                 st.sampled_from(["-1,1,1", "a,x,1", "1,x+,1", "1,1", "0,@pascal,1"])),
+                ("-n", _ints(1, 20), _JUNK_INT)],
+    "conjecture": [("--count", _ints(0, 3), st.sampled_from(["-1", "x", ""])),
+                   ("--degree-max", _ints(0, 2), st.sampled_from(["-1", "x"])),
+                   ("--coeff-max", _ints(1, 2), st.sampled_from(["0", "-1"])),
+                   ("--primes", st.sampled_from(["2", "3,5", "2,3"]),
+                    st.sampled_from(["", "2,", "4", "103", "x", "-3"])),
+                   ("--seed", _ints(0, 9), _JUNK_INT)],
+    "oracle-check": [("--poly", _POLY, _JUNK_POLY), ("-p", _ints(2, 5), _JUNK_INT),
+                     ("-a", _ints(1, 2), _JUNK_INT), ("-n", _ints(1, 20), _JUNK_INT)],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with valid values, then at most two flags dropped or
+    given an invalid value."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    flags = _SUBCOMMANDS[command]
+    broken = draw(st.lists(st.integers(0, len(flags) - 1), max_size=2, unique=True))
+    argv = [command]
+    for i, (flag, good, bad) in enumerate(flags):
+        how = draw(st.sampled_from(["drop", "bad"])) if i in broken else "good"
+        if flag == "--json":
+            argv += [flag] if how == "good" else []
+        elif how != "drop":
+            argv += [flag, draw(good if how == "good" else bad)]
+    if command == "conjecture" and "--count" not in argv:
+        argv += ["--count", "2"]  # the default count of 200 takes half a minute
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_cli_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "export-dfao":
+            argv = argv + ["-o", os.path.join(tmp, "machine.txt")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("resource limit: "), (argv, err.getvalue())

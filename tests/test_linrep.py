@@ -331,3 +331,60 @@ def test_gamma_matches_definition_apery_stable_base(p, a):
         assert gammas[1][row, col] == oracle.ct_pow_mod(red.p_tilde, shift, 1, mod)
     lazy = build_reduction(P, Q, p, a).tilde_rep.gamma(p - 1)
     assert lazy.tobytes() == gammas[p - 1].tobytes()
+
+
+@st.composite
+def _batch_cases(draw):
+    r = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * r)
+    coeffs = st.integers(-4, 4).filter(bool)
+    P = LaurentPoly(r, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+    Q = LaurentPoly(r, draw(st.dictionaries(exps, coeffs, max_size=3)))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    # two variables mod 125 or 343 overflow the window cap
+    a = draw(st.integers(1, 2 if r == 2 and p > 3 else 3))
+    ns = draw(st.lists(st.one_of(st.integers(0, 60), st.integers(0, 2**40)),
+                       max_size=30).map(lambda ns: ns + [0]))
+    return P, Q, p, a, draw(st.permutations(ns + ns[:3]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_batch_cases())
+def test_terms_batch_matches_term(case):
+    # unsorted indices with duplicates, 0 and 41-bit entries: every batched
+    # value equals the per-index digit product
+    P, Q, p, a, ns = case
+    red = build_reduction(P, Q, p, a)
+    assert red.terms(ns) == [red.term(n) for n in ns]
+    assert red.terms([]) == []
+
+
+def test_terms_batch_longer_than_one_chunk():
+    from ctseq.primepower import _TERMS_CHUNK
+
+    P, Q = preset("catalan")
+    red = build_reduction(P, Q, 3, 2)
+    ns = list(range(2 * _TERMS_CHUNK + 17)) + [3**25 + 5, 7]
+    assert red.terms(iter(ns)) == [red.term(n) for n in ns]
+    assert red.terms(range(60)) == oracle.sequence(P, Q, 9, 60)
+
+
+def test_terms_batch_second_coding():
+    from ctseq.primepower import build_reduction_multi
+
+    P, Q = preset("motzkin")
+    red = build_reduction_multi(P, [Q, one, parse_poly("x^-1 + 3")], 2, 3)
+    ns = [9, 0, 2**40 + 3, 9, 1, 255]
+    for which in (1, 2):
+        assert red.terms(ns, which=which) == [red.term(n, which) for n in ns]
+    assert red.terms(range(40), which=1) == oracle.sequence(P, one, 8, 40)
+
+
+def test_terms_batch_rejects_bad_indices():
+    P, Q = preset("trinomial")
+    red = build_reduction(P, Q, 3, 1)
+    with pytest.raises(ValueError):
+        red.terms([1, -1])
+    with pytest.raises(ValueError):
+        red.terms([2**63])
+    assert red.terms([2**63 - 1]) == [red.term(2**63 - 1)]

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -167,3 +169,36 @@ def test_block_cap():
     P, _ = preset("pascal")
     with pytest.raises(ResourceLimitError):
         TildeReduction(P, [one], 2, 20, block_cap=1000)
+
+
+def test_letter_stream_threads_share_one_stream():
+    # eight threads read prefixes of different lengths off one fresh
+    # reduction; the stream is created once and grown by one thread at a
+    # time, so every prefix equals the single-thread one
+    P, Q = preset("motzkin")
+    want = build_reduction(P, Q, 3, 2).prefix(5000 + 2000 * 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            red = build_reduction(P, Q, 3, 2)
+            start = threading.Barrier(8, timeout=60)
+            got = [None] * 8
+            streams = [None] * 8
+
+            def work(i):
+                start.wait()
+                streams[i] = red.stream()
+                got[i] = red.prefix(5000 + 2000 * i)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert all(s is streams[0] for s in streams), trial
+            for i, values in enumerate(got):
+                assert values == want[:5000 + 2000 * i], (trial, i)
+    finally:
+        sys.setswitchinterval(interval)
