@@ -3,7 +3,10 @@
 Every route returns the first N values of ct(P^n Q) mod p^a.  They are
 deliberately different code paths over the same mathematics, so the
 test suite can demand exact agreement between all of them and the
-brute-force oracle.
+brute-force oracle.  The one exception: for a > 1, ``morphism`` and
+``primepower`` share one route, the letter stream of the stable base
+read through TildeReduction.prefix.  Only for a = 1 does ``morphism``
+build its own stream on P.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def sequence(P, Q, p, a, count, engine="linrep", red=None, **oracle_opts):
         if a == 1:
             rep = LinRep(P, Q, p, 1)
             return MorphicStream(rep).coded_prefix(rep.row_Q, count)
-        return _morphism_blocks(red, count)
+        return red.prefix(count)
     if engine == "dfao":
         return _forward_runs(red, count)
     if engine == "dfao-reverse":
@@ -40,16 +43,6 @@ def sequence(P, Q, p, a, count, engine="linrep", red=None, **oracle_opts):
     raise ValueError(
         "unknown engine %r (expected one of %s)" % (engine, "/".join(ENGINE_NAMES))
     )
-
-
-def _morphism_blocks(red, count):
-    blocks = red.block_count
-    quotient_len = -(-count // blocks)
-    stream = red.stream()
-    per_residue = [
-        stream.coded_prefix(row, quotient_len) for row in red.block_rows
-    ]
-    return [per_residue[n % blocks][n // blocks] for n in range(count)]
 
 
 def _forward_runs(red, count):

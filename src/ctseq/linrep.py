@@ -26,6 +26,12 @@ DEFAULT_WINDOW_CAP = 5000
 DEFAULT_DIGIT_CAP = 101
 # elements read per chunk while gathering one digit matrix
 _GATHER_CHUNK = 2**18
+# windows larger than this hold their digit matrices as SparseDigitMap
+_SPARSE_WINDOW = 1024
+# a 2-D operand of a SparseDigitMap goes in blocks of this many rows, each
+# block taking about _BLOCK_ENTRIES products per chunk of entries
+_ROW_BLOCK = 8
+_BLOCK_ENTRIES = 2**16
 
 
 def check_digit_cap(p, digit_cap=DEFAULT_DIGIT_CAP):
@@ -86,12 +92,17 @@ def build_index(P, Qs, window_cap=DEFAULT_WINDOW_CAP):
             raise RingMismatchError("P and Q variable counts differ")
         m = max(m, q.degree())
     m = max(m, 0)
+    check_window(r, m, window_cap)
+    return IndexSet(r, m)
+
+
+def check_window(r, m, window_cap=DEFAULT_WINDOW_CAP):
+    """Refuse the window [-m, m]^r if it has more than window_cap entries."""
     size = (2 * m + 1) ** r
     if size > window_cap:
         raise ResourceLimitError(
             "window size %d exceeds cap %d" % (size, window_cap)
         )
-    return IndexSet(r, m)
 
 
 class StateVector:
@@ -120,6 +131,123 @@ class StateVector:
         return "StateVector%r" % (self.entries,)
 
 
+def _layout(counts, idx, vals):
+    """One layout of a sparse matrix: (keys present, where each key's run
+    starts, idx, vals), all read-only.  The entries are sorted by key,
+    and key k has counts[k] of them; a row layout has row keys and
+    column idx.
+    """
+    at = np.flatnonzero(counts)
+    out = (at, (np.cumsum(counts) - counts)[at], idx, vals)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _left_product(x, layout):
+    """x @ M for a 1-D or 2-D x, given the column layout of M.
+
+    Each nonempty column of M is one reduceat segment of x[rows] * vals;
+    the empty ones stay zero (reduceat would return x[start] for them).
+    A 1-D x takes all entries in one pass.  A 2-D x goes in blocks of
+    _ROW_BLOCK rows; each block reads the entries once, in chunks cut at
+    column starts whose temporaries hold about _BLOCK_ENTRIES values, so
+    they stay in cache.
+    """
+    at, starts, idx, vals = layout
+    dtype = np.result_type(x.dtype, vals.dtype)
+    out = np.zeros(x.shape, dtype=dtype)
+    if not vals.size:
+        return out
+    x = x.astype(dtype, copy=False)
+    if x.ndim == 1:
+        out[at] = np.add.reduceat(x[idx] * vals, starts)
+        return out
+    ends = np.append(starts, idx.size)
+    for r in range(0, len(x), _ROW_BLOCK):
+        src = x[r:r + _ROW_BLOCK]
+        width = _BLOCK_ENTRIES // len(src)
+        cuts = np.flatnonzero(np.diff(starts // width, prepend=-1)).tolist()
+        cuts.append(at.size)
+        sums = np.empty((len(src), at.size), dtype=dtype)
+        for k0, k1 in zip(cuts, cuts[1:]):
+            lo, hi = ends[k0], ends[k1]
+            t = src.take(idx[lo:hi], axis=1)
+            t *= vals[lo:hi]
+            np.add.reduceat(t, starts[k0:k1] - lo, axis=1, out=sums[:, k0:k1])
+        out[r:r + len(src), at] = sums
+    return out
+
+
+class SparseDigitMap:
+    """A read-only n x n digit matrix held as its nonzero entries.
+
+    The entries are stored twice: by column (CSC) for ``x @ g`` and by
+    row (CSR) for ``g @ x``.  A product is one gather, one multiply and
+    one ``np.add.reduceat``.  Values keep the dense dtype, so every
+    partial sum stays an integer under the bound LinRep checks for that
+    dtype and the products are exact.  ``__array_ufunc__ = None`` makes
+    ``ndarray @ map`` defer to ``__rmatmul__``; ``np.asarray(map)`` is
+    the dense matrix.  Both layouts are built in the constructor and
+    never change.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, rows, vals, col_counts):
+        """Entries (rows[e], j) = vals[e], sorted by column j and then row;
+        column j holds col_counts[j] of them."""
+        n = len(col_counts)
+        self.shape = (n, n)
+        self.size = n * n
+        self.dtype = vals.dtype
+        self._csc = _layout(col_counts, rows, vals)
+        # a stable sort of keys of at most 16 bits is a radix sort
+        order = np.argsort(rows.astype(np.min_scalar_type(n - 1)), kind="stable")
+        cols = np.repeat(np.arange(n), col_counts)[order]
+        self._csr = _layout(np.bincount(rows, minlength=n), cols, vals[order])
+
+    @property
+    def nnz(self):
+        return self._csc[3].size
+
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for a in self._csc + self._csr)
+
+    def _operand(self, x, axis):
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[axis] != self.shape[0]:
+            raise ValueError("operand of shape %r does not match %r"
+                             % (x.shape, self.shape))
+        return x
+
+    def __matmul__(self, x):
+        # g @ x = (x^T @ g^T)^T, and the row layout of g is the column
+        # layout of g^T
+        x = self._operand(x, 0)
+        return _left_product(np.ascontiguousarray(x.T), self._csr).T
+
+    def __rmatmul__(self, x):
+        return _left_product(self._operand(x, -1), self._csc)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a sparse digit map has no dense buffer to share")
+        at, starts, rows, vals = self._csc
+        g = np.zeros(self.shape, dtype=self.dtype)
+        g[rows, np.repeat(at, np.diff(starts, append=rows.size))] = vals
+        return g if dtype is None else g.astype(dtype, copy=False)
+
+    def tobytes(self):
+        """The shape, then the column layout's arrays, as raw bytes."""
+        return b"".join(a.tobytes() for a in (np.array(self.shape),) + self._csc)
+
+    def __repr__(self):
+        return "<SparseDigitMap %dx%d nnz=%d %s>" % (
+            self.shape + (self.nnz, self.dtype))
+
+
 class LinRep:
     """The triple (vec(Q), gamma, V(0)) over Z/p^a Z.
 
@@ -133,6 +261,9 @@ class LinRep:
     Matrix and vector entries are residues; they are stored as float64
     when every accumulated dot product fits below 2^53 (BLAS is far
     faster than integer loops and remains exact there), else as int64.
+    Windows above _SPARSE_WINDOW entries hold each matrix as a
+    SparseDigitMap, which supports the same ``@`` products; everywhere
+    else a matrix is a read-only ndarray.
     """
 
     def __init__(self, P, Q, p, a=1,
@@ -225,16 +356,42 @@ class LinRep:
     def _gather_gamma(self, arr, offset):
         """gamma(k) from P^k, given densely from exponent vector ``offset``.
 
+        Windows above _SPARSE_WINDOW entries get a SparseDigitMap of the
+        nonzero entries, smaller ones a dense matrix.  Only nonzero
+        entries are written into the dense one, so the untouched pages of
+        the zeroed matrix stay free.
+        """
+        n = len(self.index_set)
+        entries = self._gamma_entries(arr, offset)
+        if n > _SPARSE_WINDOW:
+            rows, vals = [np.zeros(0, np.intp)], [np.zeros(0, self._dtype)]
+            counts = np.zeros(n, dtype=np.intp)
+            for r, c, v in entries:
+                rows.append(r)
+                vals.append(v.astype(self._dtype))
+                counts += np.bincount(c, minlength=n)
+            # rebinding frees each chunk list before the next copy
+            rows = np.concatenate(rows)
+            vals = np.concatenate(vals)
+            return SparseDigitMap(rows, vals, counts)
+        g = np.zeros((n, n), dtype=self._dtype)
+        for rows, cols, vals in entries:
+            g[rows, cols] = vals
+        g.setflags(write=False)
+        return g
+
+    def _gamma_entries(self, arr, offset):
+        """The nonzero entries of gamma(k) as (rows, cols, values) chunks.
+
         Entry (i, j) is the coefficient of x^(p*j - i), so each column is
         a window of P^k read backwards from p*j: one strided gather over
         a box of P^k, done in chunks of columns.  Only columns whose
         window meets the support of P^k are read, and the box spans just
-        the exponents those columns reach.  Only nonzero entries are
-        written, so the untouched pages of the zeroed matrix stay free.
+        the exponents those columns reach.  Chunks come in column order,
+        and entries within a chunk by column, then row.
         """
         index = self.index_set
         p, m, n = self.p, index.m, len(index)
-        g = np.zeros((n, n), dtype=self._dtype)
         # per axis, the columns j whose exponents p*j - i (|i| <= m) meet
         # the exponents o .. o + s - 1 that arr holds
         lo = [max(-m, -((m - o) // p)) for o in offset]
@@ -260,9 +417,7 @@ class LinRep:
             for c in range(0, len(cols), step):
                 vals = flat[col_at[c:c + step, None] + row_at]
                 jj, ii = np.nonzero(vals)
-                g[ii, cols[c + jj]] = vals[jj, ii]
-        g.setflags(write=False)
-        return g
+                yield ii, cols[c + jj], vals[jj, ii]
 
     def all_gammas(self):
         """Every digit matrix; refused for primes above the digit cap."""
@@ -282,7 +437,8 @@ class LinRep:
         """V(n) as an array of residues (integral values, see class note)."""
         v = self.v0
         for d in reversed(digits_lsd(n, self.p)):
-            v = self.gamma(d) @ v % self.modulus
+            # fmod equals % on non-negative values and is faster
+            v = np.fmod(self.gamma(d) @ v, self.modulus)
         return v
 
     def state_vector(self, n):
@@ -290,10 +446,13 @@ class LinRep:
         return StateVector(self.state_array(n), self.index_set.constant_index)
 
     def eval_digits(self, digits, row=None):
-        """row . gamma(d_0) ... gamma(d_t) . V(0) for an explicit digit word."""
+        """row . gamma(d_0) ... gamma(d_t) . V(0) for an explicit digit word.
+
+        ``row`` holds residues, as the coding rows do.
+        """
         r = self.row_Q if row is None else row
         for d in digits:
-            r = r @ self.gamma(d) % self.modulus
+            r = np.fmod(r @ self.gamma(d), self.modulus)
         return int(r[self.index_set.constant_index])
 
     def eval_many(self, quotients, rows):
@@ -341,7 +500,7 @@ class LinRep:
         target[index.constant_index, index.constant_index] = 1
         bound = len(digits_lsd(max(index.m, 1), self.p))
         g0 = self.gamma(0)
-        power = g0
+        power = np.asarray(g0)
         for s in range(1, bound + 1):
             if np.array_equal(power, target):
                 return s

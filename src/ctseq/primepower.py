@@ -26,6 +26,7 @@ from .linrep import (
     DEFAULT_WINDOW_CAP,
     IndexSet,
     LinRep,
+    check_window,
     digits_lsd,
 )
 from .morphism import MorphicStream
@@ -107,6 +108,10 @@ class TildeReduction:
         self.P = P.with_modulus(mod)
         self.Qs = [q.with_modulus(mod) for q in Qs]
         self.p_tilde, self.ell = reduce_p_tilde(P, p, a, dense_cap)
+        # the window radius is at least deg P~ - 1, so a window over the
+        # cap is refused exactly before any coding chain runs
+        m = max(self.p_tilde.degree() - 1, 0)
+        check_window(P.nvars, m, window_cap)
         pl = p**self.ell
         # reduced codings: section_{p^ell}(P^k Q) for every residue k
         self.reduced_codings = []
@@ -117,15 +122,11 @@ class TildeReduction:
                 chain.step()
                 codings.append(chain.section_poly(pl))
             self.reduced_codings.append(codings)
-        m = max(self.p_tilde.degree() - 1, 0)
         for codings in self.reduced_codings:
             for q in codings:
                 m = max(m, q.degree())
+        check_window(P.nvars, m, window_cap)
         index = IndexSet(P.nvars, m)
-        if len(index) > window_cap:
-            raise ResourceLimitError(
-                "window size %d exceeds cap %d" % (len(index), window_cap)
-            )
         self.tilde_rep = LinRep(
             self.p_tilde, self.reduced_codings[0][0], p, a,
             index_set=index, digit_cap=digit_cap,

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctseq import oracle
+from ctseq import engines, linrep, oracle
+from ctseq.dfao import build_forward, build_reverse
 from ctseq.errors import ResourceLimitError, RingMismatchError
 from ctseq.laurent import LaurentPoly
-from ctseq.linrep import IndexSet, LinRep, build_index, digits_lsd
+from ctseq.linrep import (
+    IndexSet,
+    LinRep,
+    SparseDigitMap,
+    build_index,
+    digits_lsd,
+)
 from ctseq.primepower import build_reduction
 from ctseq.textio import parse_poly, preset
 
@@ -227,34 +234,40 @@ def test_power_chain_exact_near_the_int64_modulus_limit():
         assert rep.eval_term(n) == want, n
 
 
-def test_gamma_threads_share_one_build():
+def test_gamma_threads_share_one_build(monkeypatch):
     # ten threads race for the digit matrices of one fresh instance, each
     # asking for the digits in a different order; every answer must equal
-    # a single-thread build
+    # a single-thread build.  The second pass forces sparse maps, whose
+    # two layouts are built under the same lock.
     P = parse_poly("x^-3 + 2*x^-1 + 1 + x^2 + 3*x^3")
     want = LinRep(P, one, 11).all_gammas()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for trial in range(30):
-            rep = LinRep(P, one, 11)
-            start = threading.Barrier(10, timeout=60)
-            got = [None] * 10
+        for sparse in (False, True):
+            if sparse:
+                monkeypatch.setattr(linrep, "_SPARSE_WINDOW", 0)
+            for trial in range(30):
+                rep = LinRep(P, one, 11)
+                start = threading.Barrier(10, timeout=60)
+                got = [None] * 10
 
-            def work(t):
-                start.wait()
-                order = [(t + s) % 11 for s in range(11)]
-                got[t] = {k: rep.gamma(k) for k in order}
+                def work(t):
+                    start.wait()
+                    order = [(t + s) % 11 for s in range(11)]
+                    got[t] = {k: rep.gamma(k) for k in order}
 
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(10)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-            for t, built in enumerate(got):
-                for k, g in built.items():
-                    assert np.array_equal(g, want[k]), (trial, t, k)
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(10)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for t, built in enumerate(got):
+                    for k, g in built.items():
+                        assert isinstance(g, SparseDigitMap) == sparse
+                        assert g is got[0][k], (sparse, trial, t, k)
+                        assert np.array_equal(np.asarray(g), want[k]), (trial, t, k)
     finally:
         sys.setswitchinterval(interval)
 
@@ -388,3 +401,171 @@ def test_terms_batch_rejects_bad_indices():
     with pytest.raises(ValueError):
         red.terms([2**63])
     assert red.terms([2**63 - 1]) == [red.term(2**63 - 1)]
+
+
+def _all_outputs(P, Q, p, a, ns):
+    """The reduction plus what every engine, terms, term, both automaton
+    exports and settle_exponent give for it."""
+    red = build_reduction(P, Q, p, a)
+    out = {e: engines.sequence(P, Q, p, a, 40, e, red=red)
+           for e in ("linrep", "dfao", "dfao-reverse", "morphism", "primepower")}
+    out["terms"] = red.terms(ns)
+    out["term"] = [red.term(n) for n in ns]
+    out["settle"] = red.tilde_rep.settle_exponent()
+    builds = {
+        "forward": lambda: build_forward(red.p_tilde, red.reduced_codings[0][0], p,
+                                         p**a, state_cap=2000, rep=red.tilde_rep),
+        "reverse": lambda: build_reverse(red.tilde_rep, state_cap=2000),
+    }
+    for name, build in builds.items():
+        try:
+            machine = build()
+        except ResourceLimitError:
+            out[name] = "over cap"
+        else:
+            out[name] = (machine.export("walnut"), machine.export("dot"))
+    return red, out
+
+
+@st.composite
+def _sparse_cases(draw):
+    r = draw(st.integers(1, 3))
+    span = (2, 1, 1)[r - 1]
+    exps = st.tuples(*[st.integers(-span, span)] * r)
+    coeffs = st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4))
+    P = LaurentPoly(r, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+    Q = LaurentPoly(r, draw(st.dictionaries(exps, coeffs, max_size=3)))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    # deg P~ can reach p^(a-1) deg P; keep the window near 125 entries
+    bound = lambda a: (2 * p ** (a - 1) * max(P.degree(), 1) + 1) ** r
+    a = draw(st.sampled_from([a for a in (1, 2, 3) if a == 1 or bound(a) <= 130]))
+    ns = draw(st.lists(st.integers(0, 2**40), max_size=8))
+    return P, Q, p, a, ns + [0, 1, p**a + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_cases())
+def test_sparse_maps_match_dense(case):
+    P, Q, p, a, ns = case
+    dense, want = _all_outputs(P, Q, p, a, ns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linrep, "_SPARSE_WINDOW", 0)
+        sparse, got = _all_outputs(P, Q, p, a, ns)
+    assert got == want
+    mod, n = p**a, len(dense.tilde_rep.index_set)
+    rng = np.random.default_rng(n * mod)
+    for g, d in zip(sparse.tilde_rep.all_gammas(), dense.tilde_rep.all_gammas()):
+        assert isinstance(g, SparseDigitMap) and isinstance(d, np.ndarray)
+        as_dense = np.asarray(g)
+        assert as_dense.dtype == d.dtype and as_dense.tobytes() == d.tobytes()
+        assert (g.shape, g.dtype, g.size) == (d.shape, d.dtype, d.size)
+        assert g.nnz == np.count_nonzero(d)
+        for x in (rng.integers(0, mod, n), rng.integers(0, mod, (3, n)).astype(d.dtype)):
+            for left, right in ((x @ g, x @ d), (g @ x.T, d @ x.T)):
+                assert left.dtype == right.dtype and np.array_equal(left, right)
+
+
+def test_sparse_map_without_entries(monkeypatch):
+    # gamma(1) of P = x on a one-entry window is the zero matrix
+    monkeypatch.setattr(linrep, "_SPARSE_WINDOW", 0)
+    rep = LinRep(parse_poly("x"), one, 2)
+    g = rep.gamma(1)
+    assert isinstance(g, SparseDigitMap) and g.nnz == 0
+    assert np.asarray(g).tolist() == [[0.0]]
+    for x in (np.array([3.0]), np.array([[3.0], [1.0]])):
+        assert np.array_equal(x @ g, np.zeros_like(x))
+        assert np.array_equal(g @ x.T, np.zeros_like(x.T))
+    with pytest.raises(ValueError):
+        np.ones(2) @ g
+    assert g.tobytes() == rep.gamma(1).tobytes()
+    assert [rep.eval_term(n) for n in range(5)] == [1, 0, 0, 0, 0]  # ct(x^n)
+
+
+def test_sparse_products_in_row_blocks_and_chunks(monkeypatch):
+    # tiny blocks and chunks, so 2-D products cross row blocks and chunks
+    # of one or several columns
+    cases = [("motzkin", 3, 2), ("catalan", 2, 3), ("apery", 2, 1)]
+    dense = [LinRep(*preset(name), p, a).all_gammas() for name, p, a in cases]
+    monkeypatch.setattr(linrep, "_SPARSE_WINDOW", 0)
+    monkeypatch.setattr(linrep, "_ROW_BLOCK", 3)
+    rng = np.random.default_rng(5)
+    for (name, p, a), ds in zip(cases, dense):
+        for g, d in zip(LinRep(*preset(name), p, a).all_gammas(), ds):
+            assert isinstance(g, SparseDigitMap)
+            n = d.shape[0]
+            for entries in (3, 16, 2**16):
+                monkeypatch.setattr(linrep, "_BLOCK_ENTRIES", entries)
+                for rows in (1, 2, 3, 4, 7, 10):
+                    x = rng.integers(0, p**a, (rows, n)).astype(d.dtype)
+                    assert np.array_equal(x @ g, x @ d), (name, rows, entries)
+                    assert np.array_equal(g @ x.T, d @ x.T), (name, rows, entries)
+
+
+def test_sparse_maps_on_the_int64_route(monkeypatch):
+    # the setup of test_power_chain_exact_near_the_int64_modulus_limit,
+    # with every digit matrix a sparse int64 map
+    P = parse_poly("-x^-1 - 1 - x")
+    p = 2147483647
+    digits = (0, 1, 2, 30)
+    dense = [LinRep(P, one, p).gamma(k) for k in digits]
+    monkeypatch.setattr(linrep, "_SPARSE_WINDOW", 0)
+    rep = LinRep(P, one, p)
+    for n in (0, 1, 2, 30, p + 30):
+        want = 1
+        for d in digits_lsd(n, p):  # Lucas: the digits multiply
+            want = want * oracle.ct_pow_mod(P, one, d, p) % p
+        assert rep.eval_term(n) == want, n
+    x = np.array([p - 1], dtype=np.int64)
+    for k, d in zip(digits, dense):
+        g = rep.gamma(k)
+        assert isinstance(g, SparseDigitMap) and g.dtype == np.int64
+        assert np.asarray(g).tobytes() == d.tobytes()
+        assert np.array_equal(x @ g, x @ d) and np.array_equal(g @ x, d @ x)
+    # a three-entry window whose sums of products near 3 * 2^60 stay exact
+    q, Q3 = 1000000007, parse_poly("x^-1 + x")
+    ns = (5, q + 2, 7 * q * q + q + 1)
+    rep3 = LinRep(P, Q3, q)
+    terms = [rep3.eval_term(n) for n in ns]
+    monkeypatch.setattr(linrep, "_SPARSE_WINDOW", 10**9)
+    dense3 = LinRep(P, Q3, q)
+    assert terms == [dense3.eval_term(n) for n in ns]
+    x = np.full((2, 3), q - 1, dtype=np.int64)
+    for k in (1, 2, 7):
+        g, d = rep3.gamma(k), dense3.gamma(k)
+        assert isinstance(g, SparseDigitMap) and g.dtype == d.dtype == np.int64
+        assert isinstance(d, np.ndarray)
+        assert np.array_equal(x @ g, x @ d) and np.array_equal(g @ x.T, d @ x.T)
+
+
+def test_apery_mod_27_digit_maps_are_sparse():
+    # apery-window's largest window goes sparse; the 343- and 729-entry
+    # windows stay dense
+    P, Q = preset("apery")
+    red = build_reduction(P, Q, 3, 3)
+    rep = red.tilde_rep
+    assert len(rep.index_set) == 4913 > linrep._SPARSE_WINDOW
+    gammas = rep.all_gammas()
+    assert all(isinstance(g, SparseDigitMap) for g in gammas)
+    assert [g.nnz for g in gammas] == [125, 371520, 1613050]
+    assert sum(g.nbytes for g in gammas) < 0.15 * sum(g.size * 8 for g in gammas)
+    for p, a in ((2, 3), (5, 2)):
+        small = build_reduction(P, Q, p, a).tilde_rep
+        assert len(small.index_set) <= linrep._SPARSE_WINDOW
+        assert all(isinstance(g, np.ndarray) for g in small.all_gammas())
+    # entries against ct_pow_mod, read off products with unit vectors: two
+    # nonzero entries and one random entry in each of eight random rows
+    rng = random.Random(27)
+    vecs = rep.index_set.vectors
+    for _ in range(8):
+        row = rng.randrange(len(vecs))
+        at_row = np.zeros(len(vecs))
+        at_row[row] = 1
+        line = at_row @ gammas[1]
+        nonzero = np.flatnonzero(line).tolist()
+        for col in rng.sample(nonzero, min(2, len(nonzero))) + [rng.randrange(len(vecs))]:
+            at_col = np.zeros(len(vecs))
+            at_col[col] = 1
+            e = tuple(x - 3 * y for x, y in zip(vecs[row], vecs[col]))
+            want = oracle.ct_pow_mod(red.p_tilde, LaurentPoly(3, {e: 1}), 1, 27)
+            assert line[col] == want == (gammas[1] @ at_col)[row], (row, col)
+    assert red.terms([0, 5, 3**39 + 7]) == [red.term(n) for n in (0, 5, 3**39 + 7)]

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from ctseq import oracle
+from ctseq import oracle, primepower
 from ctseq.errors import ResourceLimitError
 from ctseq.laurent import LaurentPoly
 from ctseq.linrep import LinRep
@@ -169,6 +169,18 @@ def test_block_cap():
     P, _ = preset("pascal")
     with pytest.raises(ResourceLimitError):
         TildeReduction(P, [one], 2, 20, block_cap=1000)
+
+
+def test_oversized_window_refused_before_any_coding_chain(monkeypatch):
+    # deg P~ - 1 = 24 alone puts the Apery window mod 125 at 49^3 = 117,649
+    # entries, so the refusal must come before the coding chains run
+    def no_chain(*args, **kwargs):
+        raise AssertionError("coding chain built before the window check")
+
+    monkeypatch.setattr(primepower, "DenseChain", no_chain)
+    P, Q = preset("apery")
+    with pytest.raises(ResourceLimitError, match="window size 117649"):
+        build_reduction(P, Q, 5, 3)
 
 
 def test_letter_stream_threads_share_one_stream():
