@@ -10,6 +10,8 @@ entry, or it finds the least index n0 with p | ct(P^n0).
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -67,7 +69,7 @@ def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
                 t = len(states)
                 if t >= state_cap:
                     raise ResourceLimitError(
-                        "reachable set exceeds %d states" % state_cap
+                        "reachable set exceeds %d states" % state_cap, states=t
                     )
                 ids[new] = t
                 states.append(new)
@@ -165,9 +167,10 @@ def verdict(P, Q, p, a=1, state_cap=DEFAULT_STATE_CAP):
     The window is built from P alone (coding by Q never affects the
     answer, nor does the exponent a); Q and a are echoed into the
     record so callers can tell what was asked.  Status "inconclusive"
-    means the reachable states exceed ``state_cap``; every other guard,
-    such as the digit cap on building the matrices, raises
-    ResourceLimitError.
+    means the reachable states exceed ``state_cap``, and its
+    ``reachable_states`` is the number interned when the cap tripped;
+    every other guard, such as the digit cap on building the matrices,
+    raises ResourceLimitError.
     """
     rep = LinRep(P, LaurentPoly.one(P.nvars), p, 1)
     index = rep.index_set
@@ -193,14 +196,14 @@ def verdict(P, Q, p, a=1, state_cap=DEFAULT_STATE_CAP):
             naive_bound_digits=_naive_bound_digits(p, len(index)),
             status="exact",
         )
-    except ResourceLimitError:
+    except ResourceLimitError as exc:
         return Verdict(
             p=p,
             a=a,
             m=index.m,
             window_size=len(index),
             settle_s=settle,
-            reachable_states=0,
+            reachable_states=exc.states or 0,
             zero_witness=None,
             linearly_recurrent=None,
             recurrence_guaranteed=None,
@@ -221,8 +224,7 @@ def zero_frequency(seq, count):
         raise ValueError("count must be positive")
     if len(seq) < count:
         raise ValueError("sequence provides %d of %d terms" % (len(seq), count))
-    zeros = sum(1 for v in seq[:count] if v == 0)
-    return Fraction(zeros, count)
+    return Fraction(operator.countOf(itertools.islice(seq, count), 0), count)
 
 
 @dataclass
@@ -240,6 +242,45 @@ class GapReport:
     rows: list = field(default_factory=list)
 
 
+def _values(seq, count):
+    """The first ``count`` integer terms as int64, or as objects past int64."""
+    if isinstance(seq, np.ndarray):
+        return seq[:count]
+    try:
+        return np.fromiter(seq, dtype=np.int64, count=count)
+    except OverflowError:
+        return np.array(seq[:count], dtype=object)
+
+
+def _ranks(values):
+    """Dense int32 codes of ``values`` in value order, and how many."""
+    ordered = np.sort(values)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    del ordered
+    return np.searchsorted(distinct, values).astype(np.int32), len(distinct)
+
+
+def _word_keys(codes, radix, word_length, starts):
+    """One integer key per start position, in lexicographic word order.
+
+    Code columns are packed most significant first.  Whenever the next
+    column would carry the radix product past int64, the keys are
+    replaced by their ranks (fewer than ``starts``) and packing goes on,
+    so words of any length and any values take the same loop.  Returns
+    the keys and a bound on them.
+    """
+    keys = codes[:starts].astype(np.int64)
+    span = radix
+    for j in range(1, word_length):
+        if span * radix > 2**63:
+            keys, span = _ranks(keys)
+            keys = keys.astype(np.int64)
+        keys *= radix
+        keys += codes[j : j + starts]
+        span *= radix
+    return keys, span
+
+
 def gap_stats(seq, word_length, count):
     """Largest spacing between repeats of each length-L word.
 
@@ -247,24 +288,39 @@ def gap_stats(seq, word_length, count):
     occurrences inside the prefix, and a row is flagged censored when
     the unexplored tail after its last occurrence already exceeds the
     largest gap seen, so the true bound may be larger.
+
+    The terms must be integers.  They become dense codes in value
+    order, each start position gets one packed integer key, and one
+    stable sort groups the starts by word, each group in increasing
+    order.  So the cost is a few numpy sorts of ``count`` entries and
+    one Python step per distinct word, and the temporaries stay within
+    a few arrays of ``count`` entries.
     """
     if not 0 < word_length <= count:
         raise ValueError("need 0 < word length <= prefix length")
     if len(seq) < count:
         raise ValueError("sequence provides %d of %d terms" % (len(seq), count))
-    occurrences = {}
-    for i in range(count - word_length + 1):
-        w = tuple(seq[i : i + word_length])
-        occurrences.setdefault(w, []).append(i)
+    values = _values(seq, count)
+    starts = count - word_length + 1
+    keys, span = _word_keys(*_ranks(values), word_length, starts)
+    if span > 2**16:
+        keys, span = _ranks(keys)
+    # numpy sorts 16-bit keys by radix, several times faster than int64
+    keys = keys.astype(np.uint16 if span <= 2**16 else np.int32)
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    last = np.append(first[1:], starts) - 1
+    steps = np.diff(order, prepend=order[0])
+    steps[first] = 0
+    gaps = np.maximum.reduceat(steps, first).tolist()
+    heads = order[first].tolist()
+    ends = order[last].tolist()
+    counts = (last - first + 1).tolist()
     report = GapReport(word_length=word_length, prefix_length=count)
-    last_start = count - word_length
-    for w in sorted(occurrences):
-        starts = occurrences[w]
-        gap = max(
-            (b - a for a, b in zip(starts, starts[1:])), default=0
-        )
-        censored = (last_start - starts[-1]) > gap
-        report.rows.append(GapRow(w, len(starts), gap, censored))
+    for head, end, n, gap in zip(heads, ends, counts, gaps):
+        word = tuple(values[head : head + word_length].tolist())
+        report.rows.append(GapRow(word, n, gap, starts - 1 - end > gap))
     return report
 
 

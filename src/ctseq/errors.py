@@ -18,4 +18,12 @@ class ParseError(CtseqError, ValueError):
 
 
 class ResourceLimitError(CtseqError, RuntimeError):
-    """A configured guard (term count, window size, state cap) was exceeded."""
+    """A configured guard (term count, window size, state cap) was exceeded.
+
+    ``states`` is the number of states interned when a state cap
+    tripped, and None for every other guard.
+    """
+
+    def __init__(self, message, states=None):
+        super().__init__(message)
+        self.states = states

@@ -4,10 +4,11 @@ Everything here expands actual polynomial products with eager modular
 reduction and reads off the constant coefficient.  No windows, section
 operators, matrices, or repeated squaring are used, so these values are
 an independent check on every other code path.  The generic route works
-on plain dictionaries; two dense integer fast paths (one dimensional
-running products, and half-power pairing for several variables) do the
-same schoolbook arithmetic with numpy int64 and are cross-checked
-against the dictionary route in the tests.
+on plain dictionaries; three dense integer fast paths (one dimensional
+running products, half-power pairing for several variables, and a
+running product for several variables when the pairing does not fit)
+do the same schoolbook arithmetic with numpy int64 and are
+cross-checked against the dictionary route in the tests.
 """
 
 from __future__ import annotations
@@ -83,15 +84,19 @@ def power_terms(P, n, modulus, term_guard=DEFAULT_TERM_GUARD,
     start = [0] * nvars
     for _ in range(n):
         arr, start = _shift_add_mul(arr, start, P.terms, modulus, nvars)
-    return {
-        tuple(int(x) + s for x, s in zip(idx, start)): int(arr[idx])
-        for idx in zip(*np.nonzero(arr))
-    }
+    return _dense_terms(arr, start)
 
 
 def sequence(P, Q, modulus, count, max_n=DEFAULT_MAX_N,
              term_guard=DEFAULT_TERM_GUARD, dense_cells=DEFAULT_DENSE_CELLS):
-    """The first ``count`` values of n -> ct(P^n Q) mod ``modulus``."""
+    """The first ``count`` values of n -> ct(P^n Q) mod ``modulus``.
+
+    Several variables take the half-power pairing when its arrays fit
+    ``dense_cells``, and otherwise a dense running product until its box
+    passes ``dense_cells``, then the dict route.  ``term_guard`` bounds
+    the nonzeros of P^n Q on the running product, and the partial
+    products of each multiplication on the dict route.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
     if count - 1 > max_n:
@@ -106,16 +111,23 @@ def sequence(P, Q, modulus, count, max_n=DEFAULT_MAX_N,
     Q = Q.with_modulus(modulus)
     if P.nvars == 1 and (modulus - 1) ** 2 * max(len(P.terms), 1) < 2**62:
         return _sequence_dense_1d(P, Q, modulus, count)
-    if P.nvars > 1:
+    if P.nvars > 1 and (modulus - 1) ** 2 * max(len(P.terms), len(Q.terms), 1) < 2**62:
         plan = _halving_plan(P, Q, count, dense_cells)
-        if plan is not None and (modulus - 1) ** 2 * max(len(P.terms), len(Q.terms), 1) < 2**62:
+        if plan is not None:
             return _sequence_dense_halving(P, Q, modulus, count, plan)
+        return _sequence_dense_running(P, Q, modulus, count, term_guard,
+                                       dense_cells)
     return _sequence_dicts(P, Q, modulus, count, term_guard)
 
 
 def _sequence_dicts(P, Q, modulus, count, term_guard):
     pd, nvars = _as_dict(P)
     cur, _ = _as_dict(Q)
+    return _dict_run(pd, cur, nvars, modulus, count, term_guard)
+
+
+def _dict_run(pd, cur, nvars, modulus, count, term_guard):
+    """ct of cur, cur*P, cur*P^2, ... by dict products: ``count`` values."""
     zero = (0,) * nvars
     out = []
     for _ in range(count):
@@ -158,6 +170,49 @@ def _sequence_dense_1d(P, Q, modulus, count):
         out.append(int(cur[idx]) if 0 <= idx < cur.shape[0] else 0)
         cur = np.convolve(cur, pa) % modulus
         lo += plo
+    return out
+
+
+def _dense_terms(arr, lo):
+    """The nonzero cells of a dense array as an exponent -> value dict."""
+    return {
+        tuple(int(x) + s for x, s in zip(idx, lo)): int(arr[idx])
+        for idx in zip(*np.nonzero(arr))
+    }
+
+
+def _dense_ct(arr, lo):
+    """The cell at exponent zero (every box here spans the origin)."""
+    return int(arr[tuple(-x for x in lo)])
+
+
+def _sequence_dense_running(P, Q, modulus, count, term_guard, dense_cells):
+    """Q, PQ, P^2 Q, ... as a dense running product, one _shift_add_mul
+    by P per index, while the next box fits ``dense_cells``.
+
+    ``term_guard`` is counted on the nonzeros of each P^n Q, where the
+    dict route counts the partial products of each multiplication.
+    Once the next box would not fit, the remaining values come from the
+    dict route, starting at the last dense power.
+    """
+    nvars = P.nvars
+    plo, phi = _bounds(P.terms, nvars)
+    cur, lo = _to_dense(Q)
+    out = [_dense_ct(cur, lo)]
+    while len(out) < count:
+        cells = 1
+        for i in range(nvars):
+            cells *= cur.shape[i] + phi[i] - plo[i]
+        if cells > dense_cells:
+            rest = _dict_run(dict(P.terms), _dense_terms(cur, lo), nvars,
+                             modulus, count - len(out) + 1, term_guard)
+            return out + rest[1:]
+        cur, lo = _shift_add_mul(cur, lo, P.terms, modulus, nvars)
+        if np.count_nonzero(cur) > term_guard:
+            raise ResourceLimitError(
+                "oracle product exceeds %d terms" % term_guard
+            )
+        out.append(_dense_ct(cur, lo))
     return out
 
 

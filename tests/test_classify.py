@@ -2,10 +2,15 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctseq import oracle
+from ctseq import classify, oracle
 from ctseq.classify import (
+    GapReport,
+    GapRow,
     combine,
     combine_components,
     conjecture_scan,
@@ -134,6 +139,16 @@ def test_verdict_inconclusive():
     assert v.zero_witness is None
 
 
+def test_verdict_inconclusive_reports_interned_states():
+    P = parse_poly("x^3 - 2*x + x^-2 + 1")
+    v = verdict(P, one, 5, state_cap=3)
+    assert v.status == "inconclusive"
+    assert v.reachable_states == 3
+    with pytest.raises(ResourceLimitError) as err:
+        reachable_states(LinRep(P, one, 5), state_cap=3)
+    assert err.value.states == 3
+
+
 def test_verdict_digit_cap_is_a_guard_not_inconclusive():
     P = parse_poly("x^-1 + 1 + x")
     with pytest.raises(ResourceLimitError, match="digit matrices"):
@@ -197,6 +212,89 @@ def test_gap_stats_censoring():
     row = {r.word: r for r in report.rows}
     assert row[(2,)].censored
     assert not row[(1,)].censored
+
+
+def _reference_zero_frequency(seq, count):
+    """The plain-Python zero count that zero_frequency must match."""
+    if count <= 0:
+        raise ValueError("count must be positive")
+    if len(seq) < count:
+        raise ValueError("sequence provides %d of %d terms" % (len(seq), count))
+    zeros = sum(1 for v in seq[:count] if v == 0)
+    return Fraction(zeros, count)
+
+
+def _reference_gap_stats(seq, word_length, count):
+    """The dict-of-tuples gap statistics that gap_stats must match."""
+    if not 0 < word_length <= count:
+        raise ValueError("need 0 < word length <= prefix length")
+    if len(seq) < count:
+        raise ValueError("sequence provides %d of %d terms" % (len(seq), count))
+    occurrences = {}
+    for i in range(count - word_length + 1):
+        w = tuple(seq[i : i + word_length])
+        occurrences.setdefault(w, []).append(i)
+    report = GapReport(word_length=word_length, prefix_length=count)
+    last_start = count - word_length
+    for w in sorted(occurrences):
+        starts = occurrences[w]
+        gap = max(
+            (b - a for a, b in zip(starts, starts[1:])), default=0
+        )
+        censored = (last_start - starts[-1]) > gap
+        report.rows.append(GapRow(w, len(starts), gap, censored))
+    return report
+
+
+_ALPHABETS = [
+    [0, 1],
+    [0, 1, 2, 3],
+    list(range(10)),
+    [-7, -1, 0, 2, 5],
+    [0, 1, 2**63, 2**64 + 3, -(2**70), 3**50],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_statistics_match_plain_python_reference(data):
+    alphabet = data.draw(st.sampled_from(_ALPHABETS))
+    size = data.draw(st.integers(1, 90))
+    seq = data.draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size))
+    count = data.draw(st.integers(1, len(seq)))
+    inputs = [seq]
+    if all(-(2**63) <= v < 2**63 for v in seq):
+        inputs.append(np.array(seq, dtype=np.int64))
+    for given_seq in inputs:
+        assert zero_frequency(given_seq, count) == _reference_zero_frequency(seq, count)
+        for word_length in range(1, count + 1):
+            got = gap_stats(given_seq, word_length, count)
+            assert got == _reference_gap_stats(seq, word_length, count)
+            assert all(type(v) is int for row in got.rows for v in row.word)
+
+
+def test_gap_stats_ranks_long_words(monkeypatch):
+    # ten symbols: the terms are ranked once; keys of 5..18 letters pass
+    # 2^16 and are ranked before the sort; from 19 letters on the keys
+    # would pass 2^63 and are ranked while packing, 40 letters twice
+    rng = random.Random(3)
+    seq = [rng.randrange(10) for _ in range(400)]
+    calls = []
+    ranks = classify._ranks
+    monkeypatch.setattr(classify, "_ranks",
+                        lambda values: calls.append(len(values)) or ranks(values))
+    for word_length, ranked in ((1, 1), (2, 1), (5, 2), (11, 2), (19, 2),
+                                (40, 3), (400, 3)):
+        calls.clear()
+        got = gap_stats(seq, word_length, 400)
+        assert got == _reference_gap_stats(seq, word_length, 400)
+        assert len(calls) >= ranked
+
+
+def test_gap_stats_rejects_bad_lengths():
+    for word_length, count in ((0, 5), (6, 5), (2, 7)):
+        with pytest.raises(ValueError):
+            gap_stats([1, 2, 3, 4, 5, 6], word_length, count)
 
 
 def test_combine_single_part_identity():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctseq
 from ctseq import engines, oracle
 from ctseq.cli import main
 from ctseq.textio import preset
@@ -113,6 +115,46 @@ def test_gaps_output(capsys):
     assert len(lines) == 3  # both symbols occur
 
 
+# pinned stdout of the statistics commands (the first is the README
+# example); gap_stats and zero_frequency must keep it byte-identical
+_GAPS_README = (
+    "word\tcount\tmax_gap\tcensored\n"
+    "0,0,1\t682\t8\tno\n"
+    "0,1,1\t682\t8\tno\n"
+    "1,0,0\t683\t8\tno\n"
+    "1,1,0\t683\t8\tno\n"
+    "1,1,1\t1364\t13\tno\n"
+)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("gaps", "--poly", "@motzkin", "-p", "2", "-L", "3", "-n", "4096"),
+     _GAPS_README),
+    (("freq", "--poly", "@trinomial", "-p", "3", "-n", "729"),
+     "665/729 = 0.912209\n"),
+    (("freq", "--poly", "@motzkin", "-p", "3", "-a", "2", "-n", "5000"),
+     "1973/2500 = 0.789200\n"),
+])
+def test_statistics_golden_output(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == golden
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("gaps", "--poly", "@catalan", "-p", "3", "-a", "2", "-L", "2", "-n", "3000"),
+     "37b99c3d67c9e65d911b4d1bb75e17adee18d3336246609bc4a6a97ab94cc518"),
+    (("gaps", "--poly", "@trinomial", "-p", "5", "-L", "4", "-n", "3000"),
+     "22138d37a5dafea218c3dc9e172282bd01141a79e5d30036504e62535d96e69d"),
+])
+def test_gaps_golden_digest(capsys, argv, digest):
+    # 57 lines each, pinned by the SHA-256 of stdout
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == 57
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_combine_matches_library(capsys):
     code, out, _ = run_cli(
         capsys, "combine", "--poly", "x^-1 + 1 + x", "-p", "3", "-a", "1",
@@ -203,10 +245,13 @@ def test_count_arguments_below_range_exit_one(capsys, argv):
 
 
 def test_console_script_runs():
+    # the child imports the same ctseq as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctseq.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ctseq.cli", "generate", "--poly", "@pascal",
          "-p", "2", "-n", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == ["1", "0", "0", "0"]

@@ -1,11 +1,20 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctseq import oracle
 from ctseq.errors import ResourceLimitError
 from ctseq.laurent import LaurentPoly
-from ctseq.oracle import _sequence_dense_halving, _sequence_dicts, ct_pow_mod, sequence
+from ctseq.oracle import (
+    _sequence_dense_halving,
+    _sequence_dense_running,
+    _sequence_dicts,
+    ct_pow_mod,
+    sequence,
+)
 from ctseq.textio import parse_poly, preset
 
 one = LaurentPoly.one(1)
@@ -139,3 +148,46 @@ def test_term_guard_on_multivariate_growth():
 def test_variable_count_mismatch():
     with pytest.raises(ValueError):
         ct_pow_mod(parse_poly("x"), parse_poly("x*y"), 2, 3)
+
+
+def _small_poly(nvars, nonzero):
+    exponents = st.tuples(*[st.integers(-1, 1)] * nvars)
+    return st.dictionaries(exponents, st.integers(-3, 3), max_size=6).map(
+        lambda terms: LaurentPoly(nvars, terms)
+    ).filter(lambda poly: poly.terms or not nonzero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dense_running_matches_dicts(data):
+    nvars = data.draw(st.sampled_from([2, 3]))
+    P = data.draw(_small_poly(nvars, nonzero=True))
+    Q = data.draw(_small_poly(nvars, nonzero=False))
+    mod = data.draw(st.sampled_from([2, 4, 9, 8, 25, 27]))
+    count = data.draw(st.integers(1, 14))
+    # small boxes hand over to the dict route part way through
+    cells = data.draw(st.sampled_from([1, 30, 400, 5000, 2**25]))
+    Pm, Qm = P.with_modulus(mod), Q.with_modulus(mod)
+    slow = _sequence_dicts(Pm, Qm, mod, count, term_guard=10**6)
+    assert _sequence_dense_running(Pm, Qm, mod, count, 10**6, cells) == slow
+    assert sequence(P, Q, mod, count, dense_cells=cells) == slow
+
+
+def test_dense_running_guard_counts_nonzeros():
+    P, Q = preset("apery")
+    Pm, Qm = P.with_modulus(4), Q.with_modulus(4)
+    want = _sequence_dicts(Pm, Qm, 4, 8, term_guard=10**6)
+    assert _sequence_dense_running(Pm, Qm, 4, 8, 10**6, 2**25) == want
+    # P^7 has at most 15^3 cells; a guard below its nonzeros refuses
+    with pytest.raises(ResourceLimitError, match="exceeds 100 terms"):
+        _sequence_dense_running(Pm, Qm, 4, 8, 100, 2**25)
+
+
+def test_apery_oracle_refusal_is_prompt():
+    # the pairing route does not fit 2**25 cells for 3000 terms, so this
+    # takes the running product, which passes 10^6 nonzeros near n = 63
+    P, Q = preset("apery")
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        sequence(P, Q, 4, 3000, term_guard=10**6, dense_cells=2**25)
+    assert time.perf_counter() - start < 10
