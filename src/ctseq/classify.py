@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -21,13 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import oracle
+from .closure import close
 from .errors import ResourceLimitError
 from .laurent import LaurentPoly
 from .linrep import LinRep, check_digit_cap
-from .morphism import MorphicStream
 from .primepower import build_reduction_multi
 
-DEFAULT_STATE_CAP = 200_000
+DEFAULT_STATE_CAP = 400_000
 # zero witnesses larger than this skip the brute-force cross-checks
 WITNESS_VERIFY_BUDGET = 20_000
 
@@ -51,71 +50,42 @@ def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
     entry vanishes mod p yields the minimal witness index.
     """
     p = rep.p
-    mod = rep.modulus
-    gammas = rep.all_gammas()
-    c_index = rep.index_set.constant_index
-    start = tuple(int(x) for x in rep.v0)
-    ids = {start: 0}
-    states = [start]
-    values = [0]  # least index n with V(n) equal to this state
+    states, table, parent, digit = close(rep.v0, rep.all_gammas(), rep.modulus,
+                                         False, state_cap, "reachable set")
+    units = states[:, rep.index_set.constant_index] % p != 0
+    zero = np.flatnonzero(~units[1:])
     witness = None
-    queue = deque([0])
-    while queue:
-        s = queue.popleft()
-        vec = np.array(states[s], dtype=np.int64)
-        for k in range(p):
-            new = tuple(int(x) for x in gammas[k] @ vec % mod)
-            if new not in ids:
-                t = len(states)
-                if t >= state_cap:
-                    raise ResourceLimitError(
-                        "reachable set exceeds %d states" % state_cap, states=t
-                    )
-                ids[new] = t
-                states.append(new)
-                values.append(values[s] * p + k)
-                if witness is None and new[c_index] % p == 0:
-                    witness = values[t]
-                queue.append(t)
-    # states reachable along some walk containing a nonzero digit;
-    # these are exactly the V(n) with n > 0
-    seen = set()
-    frontier = deque()
-    for s in range(len(states)):
-        vec = np.array(states[s], dtype=np.int64)
-        for k in range(1, p):
-            t = ids[tuple(int(x) for x in gammas[k] @ vec % mod)]
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    off_origin_unit = False
-    while frontier:
-        s = frontier.popleft()
-        if states[s][c_index] % p != 0:
-            off_origin_unit = True
-            break
-        vec = np.array(states[s], dtype=np.int64)
-        for k in range(p):
-            t = ids[tuple(int(x) for x in gammas[k] @ vec % mod)]
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return ReachReport(
-        states=states,
-        zero_ct_reachable=witness is not None,
-        witness_n0=witness,
-        nonzero_ct_off_origin=off_origin_unit,
-    )
+    if zero.size:
+        # least indices can exceed int64: walk the parent links in Python ints
+        s, walk = int(zero[0]) + 1, []
+        while s:
+            walk.append(int(digit[s]))
+            s = parent[s]
+        witness = sum(d * p**i for i, d in enumerate(walk))
+    # the V(n) with n > 0: the states reached along a walk with a nonzero digit
+    marked = np.zeros(len(table), dtype=bool)
+    marked[table[:, 1:]] = True
+    frontier = np.flatnonzero(marked)
+    while frontier.size:
+        fresh = np.zeros_like(marked)
+        fresh[table[frontier]] = True
+        frontier = np.flatnonzero(fresh & ~marked)
+        marked |= fresh
+    return ReachReport(list(zip(*states.T.tolist())), witness is not None,
+                       witness, bool(units[marked].any()))
 
 
 def _verify_witness(P, p, rep, n0):
-    """Belt-and-braces checks on a BFS witness (skipped when huge)."""
+    """Belt-and-braces checks on a BFS witness (skipped when huge), on
+    terms from LinRep.eval_many, which shares no code with the closure."""
     if n0 is None or n0 > WITNESS_VERIFY_BUDGET:
         return
-    prefix = MorphicStream(rep).coded_prefix(rep.v0, n0 + 1)
-    if any(v % p == 0 for v in prefix[:n0]):
+    unit, terms = rep.row_Q, []
+    for ns in np.array_split(np.arange(n0 + 1), n0 // 256 + 1):
+        terms += rep.eval_many(ns, np.broadcast_to(unit, (len(ns), len(unit))))
+    if any(v % p == 0 for v in terms[:n0]):
         raise AssertionError("breadth-first witness %d is not minimal" % n0)
-    if prefix[n0] % p != 0:
+    if terms[n0] % p != 0:
         raise AssertionError("breadth-first witness %d is not a zero" % n0)
     if n0 <= 2_000:
         if oracle.ct_pow_mod(P, LaurentPoly.one(P.nvars), n0, p) != 0:
@@ -175,42 +145,23 @@ def verdict(P, Q, p, a=1, state_cap=DEFAULT_STATE_CAP):
     rep = LinRep(P, LaurentPoly.one(P.nvars), p, 1)
     index = rep.index_set
     settle = rep.settle_exponent()
-    deg = P.degree()
     # a refused matrix build is a guard to report, not an open question
     rep.all_gammas()
+    asked = dict(p=p, a=a, m=index.m, window_size=len(index), settle_s=settle,
+                 conjecture_bound=p**P.degree(),
+                 naive_bound_digits=_naive_bound_digits(p, len(index)))
     try:
         reach = reachable_states(rep, state_cap)
-        _verify_witness(P, p, rep, reach.witness_n0)
-        witness = reach.witness_n0
-        return Verdict(
-            p=p,
-            a=a,
-            m=index.m,
-            window_size=len(index),
-            settle_s=settle,
-            reachable_states=len(reach.states),
-            zero_witness=witness,
-            linearly_recurrent=witness is None,
-            recurrence_guaranteed=reach.nonzero_ct_off_origin,
-            conjecture_bound=p**deg,
-            naive_bound_digits=_naive_bound_digits(p, len(index)),
-            status="exact",
-        )
     except ResourceLimitError as exc:
-        return Verdict(
-            p=p,
-            a=a,
-            m=index.m,
-            window_size=len(index),
-            settle_s=settle,
-            reachable_states=exc.states or 0,
-            zero_witness=None,
-            linearly_recurrent=None,
-            recurrence_guaranteed=None,
-            conjecture_bound=p**deg,
-            naive_bound_digits=_naive_bound_digits(p, len(index)),
-            status="inconclusive",
-        )
+        return Verdict(reachable_states=exc.states or 0, zero_witness=None,
+                       linearly_recurrent=None, recurrence_guaranteed=None,
+                       status="inconclusive", **asked)
+    _verify_witness(P, p, rep, reach.witness_n0)
+    return Verdict(reachable_states=len(reach.states),
+                   zero_witness=reach.witness_n0,
+                   linearly_recurrent=reach.witness_n0 is None,
+                   recurrence_guaranteed=reach.nonzero_ct_off_origin,
+                   status="exact", **asked)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,9 @@ optionally coded by an explicit row vector.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from .errors import ResourceLimitError
+from .closure import close
 from .laurent import LaurentPoly
 from .linrep import LinRep, digits_lsd
 
@@ -34,7 +32,7 @@ class Dfao:
         "initial",
         "transitions",
         "outputs",
-        "state_labels",
+        "_labels",
         "state_vectors",
     )
 
@@ -46,8 +44,15 @@ class Dfao:
         self.initial = 0
         self.transitions = transitions
         self.outputs = outputs
-        self.state_labels = state_labels
+        self._labels = state_labels
         self.state_vectors = state_vectors
+
+    @property
+    def state_labels(self):
+        """One label per state; a callable passed for them runs on first read."""
+        if callable(self._labels):
+            self._labels = self._labels()
+        return self._labels
 
     @property
     def state_count(self):
@@ -115,14 +120,6 @@ class Dfao:
         )
 
 
-def _poly_from_row(row, index_set, nvars, modulus):
-    terms = {}
-    for pos, c in enumerate(row):
-        if c:
-            terms[index_set.vectors[pos]] = int(c)
-    return LaurentPoly(nvars, terms, modulus)
-
-
 def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
     """Close {Q} under Q -> section of P^k Q over all digits k.
 
@@ -141,70 +138,27 @@ def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
     from .textio import format_poly
 
     mod = rep.modulus
-    index = rep.index_set
-    c_index = index.constant_index
-    gammas = rep.all_gammas()
-    start = tuple(int(x) for x in rep.row_vector(Q))
-    ids = {start: 0}
-    rows = [start]
-    transitions = []
-    queue = deque([0])
-    while queue:
-        s = queue.popleft()
-        row = np.array(rows[s], dtype=np.int64)
-        dests = []
-        for g in gammas:
-            new = tuple(int(x) for x in row @ g % mod)
-            t = ids.get(new)
-            if t is None:
-                t = len(rows)
-                if t >= state_cap:
-                    raise ResourceLimitError(
-                        "forward automaton exceeds %d states" % state_cap
-                    )
-                ids[new] = t
-                rows.append(new)
-                queue.append(t)
-            dests.append(t)
-        transitions.append(dests)
-    outputs = [int(r[c_index]) for r in rows]
-    labels = [
-        format_poly(_poly_from_row(r, index, rep.P.nvars, mod)) for r in rows
-    ]
-    return Dfao(rep.p, mod, "forward", transitions, outputs, labels)
+    vectors, nvars = rep.index_set.vectors, rep.P.nvars
+    states, table, _, _ = close(rep.row_vector(Q), rep.all_gammas(), mod, True,
+                                state_cap, "forward automaton")
+
+    def labels():
+        return [format_poly(LaurentPoly(
+            nvars, {vectors[i]: c for i, c in enumerate(row) if c}, mod))
+            for row in states.tolist()]
+
+    return Dfao(rep.p, mod, "forward", table.tolist(),
+                states[:, rep.index_set.constant_index].tolist(), labels)
 
 
 def build_reverse(rep, state_cap=DEFAULT_STATE_CAP):
     """Close {V(0)} under V -> gamma(k).V over all digits k."""
-    mod = rep.modulus
-    gammas = rep.all_gammas()
-    c_index = rep.index_set.constant_index
-    start = tuple(int(x) for x in rep.v0)
-    ids = {start: 0}
-    vecs = [start]
-    transitions = []
-    queue = deque([0])
-    while queue:
-        s = queue.popleft()
-        vec = np.array(vecs[s], dtype=np.int64)
-        dests = []
-        for g in gammas:
-            new = tuple(int(x) for x in g @ vec % mod)
-            t = ids.get(new)
-            if t is None:
-                t = len(vecs)
-                if t >= state_cap:
-                    raise ResourceLimitError(
-                        "reverse automaton exceeds %d states" % state_cap
-                    )
-                ids[new] = t
-                vecs.append(new)
-                queue.append(t)
-            dests.append(t)
-        transitions.append(dests)
-    outputs = [int(v[c_index]) for v in vecs]
-    labels = ["(%s)" % ",".join(str(x) for x in v) for v in vecs]
-    return Dfao(rep.p, mod, "reverse", transitions, outputs, labels,
+    states, table, _, _ = close(rep.v0, rep.all_gammas(), rep.modulus, False,
+                                state_cap, "reverse automaton")
+    vecs = list(zip(*states.T.tolist()))
+    return Dfao(rep.p, rep.modulus, "reverse", table.tolist(),
+                states[:, rep.index_set.constant_index].tolist(),
+                lambda: ["(%s)" % ",".join(map(str, v)) for v in vecs],
                 state_vectors=vecs)
 
 

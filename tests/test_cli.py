@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +256,25 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == ["1", "0", "0", "0"]
+
+
+def test_classify_p13_is_exact_and_prompt():
+    # 13^5 = 371,293 reachable states fit the state cap; the whole
+    # command, interpreter start included, stays under 10 s
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctseq.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctseq.cli", "classify", "--poly",
+         "x^-3+2*x^-1+1+x^2+3*x^3", "-p", "13", "--json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0
+    record = json.loads(proc.stdout)
+    assert record["status"] == "exact"
+    assert record["reachable_states"] == 13**5
+    assert elapsed < 10.0
 
 
 # ---------------------------------------------------------------------------
