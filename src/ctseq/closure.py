@@ -1,12 +1,10 @@
-"""Breadth-first closure of one vector under the p digit maps.
+"""Window vectors reached under the p digit maps, each numbered once.
 
-Verdicts and automata need every vector reachable from a start vector
-under v -> v @ gamma(k) (forward) or v -> gamma(k) @ v (reverse),
-numbered in the first-occurrence order of a FIFO walk with digits
-ascending.  ``close`` takes a block of the queue at a time: each digit
-map acts on the whole block by one product, the candidates come in
-(parent, digit) order, and the new ones take the next numbers in that
-order, which is exactly the numbering of the one-state-at-a-time walk.
+Verdicts, automata, the lazy engine runs and the letter stream walk
+vectors under v -> v @ gamma(k) (forward) or v -> gamma(k) @ v
+(reverse), and all number them through one ``Interner``.  ``close``
+walks a whole closure a block of the queue at a time, ``Interner.step``
+only the transitions a lazy walk asks for.
 """
 
 from __future__ import annotations
@@ -34,62 +32,119 @@ def _keys(rows, modulus, store):
     return rows.view("S%d" % (width * rows.itemsize)).ravel()
 
 
+class Interner:
+    """The vectors met so far, numbered in the order they were met.
+
+    ``starts`` (a vector or a stack, ids in ``self.starts``) and the maps
+    hold residues in their LinRep's dtype, which keeps products exact.
+    ``states[:count]`` holds the vectors in the smallest unsigned dtype
+    holding a residue, ``table[s, k]`` the id of s's image under digit k
+    (-1 while unknown), and the arrays in ``origin`` hold, in id order,
+    parent * p + digit of the step that first reached each (-p: a start).
+    Growth replaces ``states``, so an id below ``count`` finds its row.
+    """
+
+    def __init__(self, starts, gammas, modulus, forward, state_cap=np.inf,
+                 what="closure"):
+        starts = np.atleast_2d(starts)
+        self.gammas, self.modulus, self.forward = gammas, modulus, forward
+        self.state_cap, self.what, self.dtype = state_cap, what, starts.dtype
+        self.store = np.min_scalar_type(modulus - 1)
+        size = max(1, min(state_cap, 64))
+        self.states = np.empty((size, starts.shape[1]), dtype=self.store)
+        self.states[0] = starts[0]
+        self.table = np.full((size, len(gammas)), -1)
+        self.seen = _keys(self.states[:1].astype(np.int64), modulus, self.store)
+        self.seen_ids = np.zeros(1, dtype=np.int64)
+        self.origin, self.count = [np.array([-len(gammas)])], 1
+        self.starts = np.zeros(len(starts), dtype=np.int64)
+        if len(starts) > 1:
+            self.starts = self.intern(starts.astype(np.int64),
+                                      np.full(len(starts), -len(gammas)))
+
+    def intern(self, cand, origin):
+        """The id of every row of ``cand`` (int64 residues), numbering
+        unseen ones by first occurrence; ``origin`` is parent * p + digit
+        for every row.  Distinct keys are binary-searched in the sorted
+        seen keys; new ones are inserted in one pass."""
+        uniq, inverse = np.unique(_keys(cand, self.modulus, self.store),
+                                  return_inverse=True)
+        first = np.full(len(uniq), len(cand))
+        np.minimum.at(first, inverse, np.arange(len(cand)))
+        pos = np.searchsorted(self.seen, uniq)
+        hit = self.seen[np.minimum(pos, len(self.seen) - 1)] == uniq
+        ids = np.full(len(uniq), -1)
+        ids[hit] = self.seen_ids[pos[hit]]
+        new = np.flatnonzero(~hit)
+        count, added = self.count, new.size
+        if not added:
+            return ids[inverse]
+        if count + added > self.state_cap:
+            raise ResourceLimitError("%s exceeds %d states" % (
+                self.what, self.state_cap), states=self.state_cap)
+        by_first = new[np.argsort(first[new])]
+        ids[by_first] = np.arange(count, count + added)
+        self.seen = np.insert(self.seen, pos[new], uniq[new])
+        self.seen_ids = np.insert(self.seen_ids, pos[new], ids[new])
+        size = len(self.states)
+        if count + added > size:
+            grown = min(self.state_cap, max(2 * size, count + added))
+            self.states = np.resize(self.states, (grown, self.states.shape[1]))
+            self.table = np.resize(self.table, (grown, len(self.gammas)))
+            self.table[size:] = -1
+        at = first[by_first]
+        self.states[count:count + added] = cand[at]
+        self.origin.append(origin[at])
+        self.count += added
+        return ids[inverse]
+
+    def step(self, ids, digits):
+        """The ids reached from states ``ids`` by ``digits``.  Unknown
+        transitions are computed once per distinct (state, digit) pair,
+        one product per digit, numbering new states in pair order."""
+        out = self.table[ids, digits]
+        miss = np.flatnonzero(out < 0)
+        if miss.size:
+            pairs, back = np.unique(ids[miss] * len(self.gammas) + digits[miss],
+                                    return_inverse=True)
+            parents, ks = np.divmod(pairs, len(self.gammas))
+            cand = np.empty((len(pairs), self.states.shape[1]), dtype=np.int64)
+            # the digits present; np.unique without return flags imports numpy.ma
+            for k in np.flatnonzero(np.bincount(ks)):
+                sel = np.flatnonzero(ks == k)
+                rows, g = self.states[parents[sel]].astype(self.dtype), self.gammas[k]
+                cand[sel] = rows @ g if self.forward else (g @ rows.T).T
+            cand %= self.modulus
+            found = self.intern(cand, pairs)
+            self.table[parents, ks] = found
+            out[miss] = found[back]
+        return out
+
+
 def close(start, gammas, modulus, forward, state_cap, what):
     """(states, transitions, parent, digit) of the closure of ``start``.
 
     ``forward`` applies ``rows @ g``, otherwise ``(g @ rows.T).T``, so
-    SparseDigitMap windows work through their 2-D products.  ``start``
-    and the maps hold residues in their LinRep's dtype, which keeps the
-    products exact; images are reduced as int64.  ``states`` is (S, |T|)
-    in the smallest unsigned dtype holding a residue, ``transitions`` is
-    (S, p), and state s > 0 was first reached from ``parent[s]`` by
-    ``digit[s]``.  More than ``state_cap`` states raise
-    ResourceLimitError.  Each block's distinct keys are looked up in the
-    sorted array of seen keys, and the new ones are inserted in one pass.
+    SparseDigitMap windows work through their 2-D products.  A block's
+    candidates come in (parent, digit) order, which numbers states as the
+    one-state-at-a-time FIFO walk does; state s > 0 was first reached from
+    ``parent[s]`` by ``digit[s]``.  Over ``state_cap`` states raise
+    ResourceLimitError.
     """
+    walk = Interner(start, gammas, modulus, forward, state_cap, what)
     p, width = len(gammas), len(start)
-    store = np.min_scalar_type(modulus - 1)
-    states = np.empty((max(1, min(state_cap, 1024)), width), dtype=store)
-    states[0] = start
-    seen = _keys(states[:1].astype(np.int64), modulus, store)
-    seen_ids = np.zeros(1, dtype=np.int64)
-    parents, digits, transitions = [np.array([-1])], [np.array([0])], []
-    count, done = 1, 0
-    while done < count:
+    done = 0
+    while done < walk.count:
         lo, hi = _BLOCK_ENTRIES
-        rows = max(1, min(max(lo, count * p * width // 8), hi) // (p * width))
-        block = states[done:min(count, done + rows)].astype(start.dtype)
+        rows = max(1, min(max(lo, walk.count * p * width // 8), hi) // (p * width))
+        block = walk.states[done:min(walk.count, done + rows)].astype(start.dtype)
         cand = np.empty((len(block), p, width), dtype=np.int64)
         for k, g in enumerate(gammas):
             cand[:, k] = block @ g if forward else (g @ block.T).T
         cand = cand.reshape(-1, width)
         cand %= modulus
-        uniq, inverse = np.unique(_keys(cand, modulus, store), return_inverse=True)
-        first = np.full(len(uniq), len(cand))
-        np.minimum.at(first, inverse, np.arange(len(cand)))
-        pos = np.searchsorted(seen, uniq)
-        hit = seen[np.minimum(pos, len(seen) - 1)] == uniq
-        ids = np.full(len(uniq), -1)
-        ids[hit] = seen_ids[pos[hit]]
-        new = np.flatnonzero(~hit)
-        if new.size:
-            if count + new.size > state_cap:
-                raise ResourceLimitError(
-                    "%s exceeds %d states" % (what, state_cap), states=state_cap
-                )
-            by_first = new[np.argsort(first[new])]
-            ids[by_first] = np.arange(count, count + new.size)
-            seen = np.insert(seen, pos[new], uniq[new])
-            seen_ids = np.insert(seen_ids, pos[new], ids[new])
-            if count + new.size > len(states):
-                grown = min(state_cap, max(2 * len(states), count + new.size))
-                states = np.resize(states, (grown, width))
-            at = first[by_first]
-            states[count:count + new.size] = cand[at]
-            parents.append(done + at // p)
-            digits.append(at % p)
-            count += new.size
-        transitions.append(ids[inverse].reshape(-1, p))
+        ids = walk.intern(cand, np.arange(done * p, done * p + len(cand)))
+        walk.table[done:done + len(block)] = ids.reshape(-1, p)
         done += len(block)
-    return (states[:count], np.concatenate(transitions),
-            np.concatenate(parents), np.concatenate(digits))
+    parent, digit = np.divmod(np.concatenate(walk.origin), p)
+    return walk.states[:walk.count], walk.table[:walk.count], parent, digit

@@ -7,6 +7,11 @@ brute-force oracle.  The one exception: for a > 1, ``morphism`` and
 ``primepower`` share one route, the letter stream of the stable base
 read through TildeReduction.prefix.  Only for a = 1 does ``morphism``
 build its own stream on P.
+
+For N terms ``linrep`` takes one product per digit value and position
+per 256 indices, ``dfao`` and ``dfao-reverse`` one closure.Interner.step
+per digit position over all N indices, and ``morphism`` and
+``primepower`` one step per level of the letter stream.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
+from .closure import Interner
 from .linrep import LinRep, digits_lsd
 from .morphism import MorphicStream
 from .primepower import build_reduction
@@ -23,6 +29,8 @@ ENGINE_NAMES = ("linrep", "dfao", "dfao-reverse", "morphism", "primepower", "ora
 
 def sequence(P, Q, p, a, count, engine="linrep", red=None, **oracle_opts):
     """The first ``count`` terms via the named engine."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     if engine == "oracle":
         return oracle.sequence(P, Q, p**a, count, **oracle_opts)
     if red is None:
@@ -46,78 +54,33 @@ def sequence(P, Q, p, a, count, engine="linrep", red=None, **oracle_opts):
 
 
 def _forward_runs(red, count):
-    """Walk the forward automata, materializing transitions on demand.
-
-    The transition map and outputs are exactly those of build_forward;
-    laziness matters because the full closure can dwarf the handful of
-    states a bounded prefix ever visits.  The residue machines run in
-    lockstep (their rows are stacked into one matrix per state), which
-    turns each transition into a single matrix product.
+    """The forward automaton of build_forward, built lazily: the full
+    closure can dwarf the states a prefix visits.  Index n starts at the
+    coding row of n mod p^(a-1) and reads its quotient's digits least
+    significant first; all indices advance together.
     """
     rep = red.tilde_rep
-    mod = rep.modulus
-    gammas = rep.all_gammas()
-    c_index = rep.index_set.constant_index
-    ids = {}
-    mats = []
-    trans = []
-
-    def intern(mat):
-        key = mat.tobytes()
-        sid = ids.get(key)
-        if sid is None:
-            sid = len(mats)
-            ids[key] = sid
-            mats.append(mat)
-            trans.append([None] * rep.p)
-        return sid
-
-    seeds = np.stack([rep.row_vector(q) for q in red.reduced_codings[0]])
-    start = intern(seeds)
-    blocks = red.block_count
-    out = []
-    for n in range(count):
-        sid = start
-        for d in digits_lsd(n // blocks, rep.p):
-            nxt = trans[sid][d]
-            if nxt is None:
-                nxt = intern(mats[sid] @ gammas[d] % mod)
-                trans[sid][d] = nxt
-            sid = nxt
-        out.append(int(mats[sid][n % blocks, c_index]))
-    return out
+    walk = Interner(np.stack(red.block_rows), rep.all_gammas(), rep.modulus, True)
+    quotients, residues = np.divmod(np.arange(count), red.block_count)
+    ids = walk.starts[residues]
+    live = np.arange(count)
+    while live.size:
+        ids[live] = walk.step(ids[live], quotients[live] % rep.p)
+        quotients[live] //= rep.p
+        live = live[quotients[live] > 0]
+    return walk.states[ids, rep.index_set.constant_index].tolist()
 
 
 def _reverse_runs(red, count):
-    """Walk the reverse automaton lazily (digits most significant first)."""
+    """The reverse automaton, built lazily, digits most significant first;
+    leading zeros pad every index to one length, as gamma(0) fixes V(0).
+    """
     rep = red.tilde_rep
-    mod = rep.modulus
-    gammas = rep.all_gammas()
-    ids = {}
-    vecs = []
-    trans = []
-
-    def intern(vec):
-        key = tuple(int(x) for x in vec)
-        sid = ids.get(key)
-        if sid is None:
-            sid = len(vecs)
-            ids[key] = sid
-            vecs.append(np.array(key, dtype=np.int64))
-            trans.append([None] * rep.p)
-        return sid
-
-    start = intern(rep.v0)
-    blocks = red.block_count
-    rows = red.block_rows
-    out = []
-    for n in range(count):
-        sid = start
-        for d in reversed(digits_lsd(n // blocks, rep.p)):
-            nxt = trans[sid][d]
-            if nxt is None:
-                nxt = intern(gammas[d] @ vecs[sid] % mod)
-                trans[sid][d] = nxt
-            sid = nxt
-        out.append(int(rows[n % blocks] @ vecs[sid] % mod))
-    return out
+    walk = Interner(rep.v0, rep.all_gammas(), rep.modulus, False)
+    quotients, residues = np.divmod(np.arange(count), red.block_count)
+    ids = np.zeros(count, dtype=np.int64)
+    for j in reversed(range(len(digits_lsd(int(quotients.max(initial=0)), rep.p)))):
+        ids = walk.step(ids, quotients // rep.p**j % rep.p)
+    rows = np.stack(red.block_rows).astype(np.int64)
+    codes = walk.states[:walk.count].astype(np.int64) @ rows.T % rep.modulus
+    return codes[ids, residues].tolist()

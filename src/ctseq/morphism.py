@@ -5,9 +5,10 @@ Each window vector u maps to the p-letter word
     sigma(u) = (gamma(0).u)(gamma(1).u) ... (gamma(p-1).u)
 
 and iterating from V(0) (fixed by gamma(0)) yields the infinite word
-V(0)V(1)V(2)...  Prefixes are generated block-wise: every produced
-letter expands to p letters, so N letters cost O(N) table lookups plus
-p matrix-vector products per distinct letter ever seen.
+V(0)V(1)V(2)...  Prefixes grow level by level: the letters at [m, pm)
+are the images of those at [m/p, m) under the lazy reverse automaton
+(closure.Interner), so N letters cost O(N) numpy work plus one product
+per distinct (letter, digit) pair ever met.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import threading
 
 import numpy as np
 
+from .closure import Interner
 from .errors import ResourceLimitError
 from .linrep import StateVector
 
@@ -39,88 +41,81 @@ def sigma_image(rep, u):
 
 
 class MorphicStream:
-    """A growing prefix of the fixed point, with interned letters.
+    """A growing prefix of the fixed point, with numbered letters.
 
-    ``letters[i]`` holds the i-th distinct window vector (as a tuple) in
-    order of first appearance; ``prefix[n]`` is the letter id of V(n).
-    Both lists only grow.  Extension holds a lock, so one thread at a
-    time grows them, and reading an already generated prefix is safe
-    concurrently.
+    ``prefix[n]`` is the letter id of V(n) and ``letters[i]`` the i-th
+    distinct window vector (as a tuple), in order of first appearance;
+    ``letters`` builds that list on each read, from the array of states.
+    Both only grow, one extender at a time under a lock; ``prefix`` is
+    replaced by a longer view once a level is written, so reading an
+    already generated prefix is safe concurrently.
     """
 
     def __init__(self, rep, prefix_cap=DEFAULT_PREFIX_CAP):
         self.rep = rep
         self.prefix_cap = prefix_cap
-        rep.all_gammas()  # fail early if p exceeds the digit cap
-        v0 = tuple(int(x) for x in rep.v0)
-        self.letters = [v0]
-        self._letter_ids = {v0: 0}
-        self._images = {}  # letter id -> tuple of p letter ids
-        self.prefix = [0]
-        self._cursor = 0  # next prefix position to expand
+        # the letters are the states of the lazy reverse automaton; this
+        # also fails early if p exceeds the digit cap
+        self._walk = Interner(rep.v0, rep.all_gammas(), rep.modulus, False)
+        self.prefix = self._buffer = np.zeros(1, dtype=np.int64)
         self._lock = threading.Lock()  # held by the one extender
 
     def __len__(self):
         return len(self.prefix)
 
-    def _image_ids(self, letter_id):
-        cached = self._images.get(letter_id)
-        if cached is not None:
-            return cached
-        rep = self.rep
-        vec = np.array(self.letters[letter_id], dtype=np.int64)
-        ids = []
-        for g in rep.all_gammas():
-            w = tuple(int(x) for x in g @ vec % rep.modulus)
-            wid = self._letter_ids.get(w)
-            if wid is None:
-                wid = len(self.letters)
-                self.letters.append(w)
-                self._letter_ids[w] = wid
-            ids.append(wid)
-        ids = tuple(ids)
-        self._images[letter_id] = ids
-        return ids
+    @property
+    def letters(self):
+        return list(map(tuple, self._walk.states[:self._walk.count].tolist()))
 
     def extend(self, n):
-        """Grow the prefix to at least n letters; returns self."""
+        """Grow the prefix to at least n letters; returns self.
+
+        V(pm + k) = gamma(k).V(m), so the positions [lo, min(n, p lo))
+        come from one Interner.step on the letters at pos // p with the
+        digits pos % p.
+        """
         if n > self.prefix_cap:
             raise ResourceLimitError(
                 "prefix length %d exceeds cap %d" % (n, self.prefix_cap)
             )
-        prefix = self.prefix
-        if len(prefix) >= n:
+        if len(self.prefix) >= n:
             return self
         with self._lock:
-            while len(prefix) < n:
-                ids = self._image_ids(prefix[self._cursor])
-                if self._cursor == 0:
-                    # prolongability: the first image letter is V(0) itself
-                    prefix.extend(ids[1:])
-                else:
-                    prefix.extend(ids)
-                self._cursor += 1
+            lo, p = len(self.prefix), self.rep.p
+            if n > len(self._buffer):
+                buffer = np.empty(max(n, 2 * len(self._buffer)), dtype=np.int64)
+                buffer[:lo] = self.prefix
+                self._buffer = buffer
+            buffer = self._buffer
+            while lo < n:
+                hi = min(n, p * lo)
+                pos = np.arange(lo, hi)
+                buffer[lo:hi] = self._walk.step(buffer[pos // p], pos % p)
+                self.prefix, lo = buffer[:hi], hi
         return self
 
     def state_vector(self, n):
         """The n-th letter V(n) (generating up to it if needed)."""
+        if n < 0:
+            raise ValueError("index must be >= 0")
         self.extend(n + 1)
-        return StateVector(
-            self.letters[self.prefix[n]], self.rep.index_set.constant_index
-        )
+        return StateVector(self._walk.states[self.prefix[n]],
+                           self.rep.index_set.constant_index)
 
-    def coded_prefix(self, row, n):
-        """The first n values of k -> row . V(k)."""
-        self.extend(n)
-        row = np.asarray(row, dtype=np.int64)
-        if row.shape != (len(self.rep.index_set),):
-            raise ValueError(
-                "coding row length %d does not match window size %d"
-                % (row.size, len(self.rep.index_set))
-            )
-        mod = self.rep.modulus
-        codes = [int(row @ np.array(w, dtype=np.int64) % mod) for w in self.letters]
-        return [codes[i] for i in self.prefix[:n]]
+    def coded_prefix(self, rows, n):
+        """The first n values of k -> row . V(k), or for a stack of B
+        rows of k -> rows[k mod B] . V(k div B) (a TildeReduction's)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        width = len(self.rep.index_set)
+        if rows.ndim not in (1, 2) or rows.shape[-1] != width or not rows.size:
+            raise ValueError("coding rows of shape %s do not match window size %d"
+                             % (rows.shape, width))
+        rows = rows.reshape(-1, width)
+        length = max(0, -(-n // len(rows)))
+        self.extend(length)
+        ids, walk = self.prefix[:length], self._walk
+        codes = walk.states[:walk.count].astype(np.int64) @ rows.T % self.rep.modulus
+        return codes[ids].ravel()[:max(n, 0)].tolist()
 
     def letter_count(self):
-        return len(self.letters)
+        return self._walk.count

@@ -184,21 +184,7 @@ class TildeReduction:
 
     def prefix(self, n, which=0):
         """The first n terms of ct(P^*) mod p^a, via the letter stream."""
-        if n <= 0:
-            return []
-        blocks = self.block_count
-        quotient_len = -(-n // blocks)
-        stream = self.stream()
-        per_residue = [
-            stream.coded_prefix(row, quotient_len) for row in self._rows[which]
-        ]
-        out = []
-        for q in range(quotient_len):
-            for k in range(blocks):
-                if len(out) == n:
-                    return out
-                out.append(per_residue[k][q])
-        return out
+        return self.stream().coded_prefix(self._rows[which], n)
 
     def __repr__(self):
         return "<TildeReduction p=%d a=%d ell=%d window=%d>" % (

@@ -1,9 +1,10 @@
-"""One-state-at-a-time FIFO closures, kept as references for closure.close.
+"""One-state-at-a-time walks, kept as references for closure.py.
 
 These are the loops that classify.reachable_states, dfao.build_forward
-and dfao.build_reverse ran before they were rebuilt on closure.close.
-Each interns one state at a time under a tuple key; tests diff the
-vectorized closure against them.
+and dfao.build_reverse ran before they were rebuilt on closure.close,
+and those that the lazy engine runs and the letter stream ran before
+they were rebuilt on closure.Interner.step.  Each interns one state at
+a time under a dict key; tests diff the vectorized walks against them.
 """
 
 from collections import deque
@@ -12,6 +13,7 @@ import numpy as np
 
 from ctseq.errors import ResourceLimitError
 from ctseq.laurent import LaurentPoly
+from ctseq.linrep import digits_lsd
 from ctseq.textio import format_poly
 
 
@@ -121,3 +123,142 @@ def build_reverse(rep, state_cap):
         rep, rep.v0, lambda vec, g: g @ vec, "reverse", state_cap)
     labels = ["(%s)" % ",".join(str(x) for x in v) for v in vecs]
     return vecs, transitions, outputs, labels
+
+
+def forward_runs(red, count):
+    """engines.sequence(..., "dfao") by one lazy walk per index."""
+    rep = red.tilde_rep
+    mod = rep.modulus
+    gammas = rep.all_gammas()
+    c_index = rep.index_set.constant_index
+    ids = {}
+    mats = []
+    trans = []
+
+    def intern(mat):
+        key = mat.tobytes()
+        sid = ids.get(key)
+        if sid is None:
+            sid = len(mats)
+            ids[key] = sid
+            mats.append(mat)
+            trans.append([None] * rep.p)
+        return sid
+
+    seeds = np.stack([rep.row_vector(q) for q in red.reduced_codings[0]])
+    start = intern(seeds)
+    blocks = red.block_count
+    out = []
+    for n in range(count):
+        sid = start
+        for d in digits_lsd(n // blocks, rep.p):
+            nxt = trans[sid][d]
+            if nxt is None:
+                nxt = intern(mats[sid] @ gammas[d] % mod)
+                trans[sid][d] = nxt
+            sid = nxt
+        out.append(int(mats[sid][n % blocks, c_index]))
+    return out
+
+
+def reverse_runs(red, count):
+    """engines.sequence(..., "dfao-reverse") by one lazy walk per index."""
+    rep = red.tilde_rep
+    mod = rep.modulus
+    gammas = rep.all_gammas()
+    ids = {}
+    vecs = []
+    trans = []
+
+    def intern(vec):
+        key = tuple(int(x) for x in vec)
+        sid = ids.get(key)
+        if sid is None:
+            sid = len(vecs)
+            ids[key] = sid
+            vecs.append(np.array(key, dtype=np.int64))
+            trans.append([None] * rep.p)
+        return sid
+
+    start = intern(rep.v0)
+    blocks = red.block_count
+    rows = red.block_rows
+    out = []
+    for n in range(count):
+        sid = start
+        for d in reversed(digits_lsd(n // blocks, rep.p)):
+            nxt = trans[sid][d]
+            if nxt is None:
+                nxt = intern(gammas[d] @ vecs[sid] % mod)
+                trans[sid][d] = nxt
+            sid = nxt
+        out.append(int(rows[n % blocks] @ vecs[sid] % mod))
+    return out
+
+
+class MorphicStream:
+    """The letter stream expanding one letter at a time."""
+
+    def __init__(self, rep):
+        self.rep = rep
+        v0 = tuple(int(x) for x in rep.v0)
+        self.letters = [v0]
+        self._letter_ids = {v0: 0}
+        self._images = {}  # letter id -> tuple of p letter ids
+        self.prefix = [0]
+        self._cursor = 0  # next prefix position to expand
+
+    def _image_ids(self, letter_id):
+        cached = self._images.get(letter_id)
+        if cached is not None:
+            return cached
+        rep = self.rep
+        vec = np.array(self.letters[letter_id], dtype=np.int64)
+        ids = []
+        for g in rep.all_gammas():
+            w = tuple(int(x) for x in g @ vec % rep.modulus)
+            wid = self._letter_ids.get(w)
+            if wid is None:
+                wid = len(self.letters)
+                self.letters.append(w)
+                self._letter_ids[w] = wid
+            ids.append(wid)
+        ids = tuple(ids)
+        self._images[letter_id] = ids
+        return ids
+
+    def extend(self, n):
+        prefix = self.prefix
+        while len(prefix) < n:
+            ids = self._image_ids(prefix[self._cursor])
+            if self._cursor == 0:
+                # prolongability: the first image letter is V(0) itself
+                prefix.extend(ids[1:])
+            else:
+                prefix.extend(ids)
+            self._cursor += 1
+        return self
+
+    def coded_prefix(self, row, n):
+        self.extend(n)
+        row = np.asarray(row, dtype=np.int64)
+        mod = self.rep.modulus
+        codes = [int(row @ np.array(w, dtype=np.int64) % mod) for w in self.letters]
+        return [codes[i] for i in self.prefix[:n]]
+
+
+def prefix(red, n):
+    """TildeReduction.prefix by one coded prefix per residue, interleaved."""
+    if n <= 0:
+        return []
+    blocks = red.block_count
+    quotient_len = -(-n // blocks)
+    stream = MorphicStream(red.tilde_rep)
+    per_residue = [stream.coded_prefix(row, quotient_len) for row in red.block_rows]
+    out = []
+    for q in range(quotient_len):
+        for k in range(blocks):
+            if len(out) == n:
+                return out
+            out.append(per_residue[k][q])
+    return out

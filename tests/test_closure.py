@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from ctseq import closure, linrep
+from ctseq import closure, engines, linrep
 from ctseq.classify import reachable_states
 from ctseq.dfao import build_forward, build_reverse
 from ctseq.errors import ResourceLimitError
 from ctseq.laurent import LaurentPoly
+from ctseq.morphism import MorphicStream
 from ctseq.primepower import build_reduction
 from ctseq.textio import preset
 
@@ -94,6 +95,62 @@ def test_closure_matches_fifo_loops(case):
                     mp.setattr(closure, "_BLOCK_ENTRIES", block)
                     got = _closures(*case)
                 assert got == want, (sparse, packed, block)
+
+
+@st.composite
+def _walk_cases(draw):
+    P, Q, p, a, _ = draw(_closure_cases())
+    count = draw(st.integers(0, 400))
+    cuts = sorted(draw(st.lists(st.integers(0, count), max_size=4)))
+    return P, Q, p, a, count, cuts
+
+
+def _lazy_walks(P, Q, p, a, count, cuts):
+    """Engine runs, reduction prefix and letter stream, the stream grown
+    once to ``count`` and once through ``cuts``."""
+    red = build_reduction(P, Q, p, a)
+    whole = MorphicStream(red.tilde_rep).extend(count)
+    grown = MorphicStream(red.tilde_rep)
+    for n in cuts + [count]:
+        grown.extend(n)
+    assert grown.letters == whole.letters
+    assert np.array_equal(grown.prefix, whole.prefix)
+    return {
+        "dfao": engines.sequence(P, Q, p, a, count, "dfao", red=red),
+        "dfao-reverse": engines.sequence(P, Q, p, a, count, "dfao-reverse", red=red),
+        "prefix": red.prefix(count),
+        "letters": whole.letters,
+        "ids": whole.prefix[:count].tolist(),
+    }
+
+
+def _lazy_references(P, Q, p, a, count):
+    red = build_reduction(P, Q, p, a)
+    stream = ref.MorphicStream(red.tilde_rep).extend(count)
+    # the reference expands whole images, so it may hold a few more letters
+    letters = stream.letters[:len(set(stream.prefix[:max(count, 1)]))]
+    return {
+        "dfao": ref.forward_runs(red, count),
+        "dfao-reverse": ref.reverse_runs(red, count),
+        "prefix": ref.prefix(red, count),
+        "letters": letters,
+        "ids": stream.prefix[:count],
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walk_cases())
+def test_lazy_walks_match_dict_loops(case):
+    want = _lazy_references(*case[:5])
+    for sparse in (False, True):
+        for packed in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if sparse:
+                    mp.setattr(linrep, "_SPARSE_WINDOW", 0)
+                if not packed:
+                    mp.setattr(closure, "_PACK_LIMIT", 0)
+                got = _lazy_walks(*case)
+            assert got == want, (sparse, packed)
 
 
 def test_witness_index_beyond_int64():

@@ -403,6 +403,14 @@ def test_terms_batch_rejects_bad_indices():
     assert red.terms([2**63 - 1]) == [red.term(2**63 - 1)]
 
 
+@pytest.mark.parametrize("engine", engines.ENGINE_NAMES)
+def test_every_engine_refuses_negative_count(engine):
+    P, Q = preset("motzkin")
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        engines.sequence(P, Q, 3, 2, -3, engine)
+    assert engines.sequence(P, Q, 3, 2, 0, engine) == []
+
+
 def _all_outputs(P, Q, p, a, ns):
     """The reduction plus what every engine, terms, term, both automaton
     exports and settle_exponent give for it."""

@@ -63,14 +63,13 @@ def test_extend_pascal_coded():
 def test_prefix_power_block_is_iterated_image():
     P, Q = preset("motzkin")
     rep = LinRep(P, Q, 3)
-    stream = MorphicStream(rep)
-    stream.extend(27)
+    stream = MorphicStream(rep).extend(27)
+    letters = stream.letters
     # applying the morphism letterwise to a prefix of length L gives length pL
-    word = list(stream.prefix[:9])
     expanded = []
-    for letter in word:
-        expanded.extend(stream._image_ids(letter))
-    assert expanded == stream.prefix[:27]
+    for letter in stream.prefix[:9]:
+        expanded.extend(u.entries for u in sigma_image(rep, letters[letter]))
+    assert expanded == [letters[i] for i in stream.prefix[:27]]
 
 
 def test_letters_match_state_vectors():
@@ -81,6 +80,14 @@ def test_letters_match_state_vectors():
     for _ in range(60):
         n = rng.randrange(500)
         assert stream.state_vector(n).entries == rep.state_vector(n).entries
+
+
+def test_state_vector_refuses_negative_index():
+    P, Q = preset("motzkin")
+    stream = MorphicStream(LinRep(P, Q, 3))
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        stream.state_vector(-1)
+    assert len(stream) == 1
 
 
 def test_coded_prefix_motzkin():
