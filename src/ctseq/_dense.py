@@ -17,6 +17,17 @@ from .laurent import LaurentPoly
 DEFAULT_DENSE_CAP = 2**26
 
 
+def _box(exponents, nvars):
+    """Per-axis least and greatest entries of the exponent vectors and 0."""
+    lo = [0] * nvars
+    hi = [0] * nvars
+    for e in exponents:
+        for i, x in enumerate(e):
+            lo[i] = min(lo[i], x)
+            hi[i] = max(hi[i], x)
+    return lo, hi
+
+
 class DenseChain:
     """Iterates cur, cur*P, cur*P^2, ... as dense integer arrays.
 
@@ -24,26 +35,14 @@ class DenseChain:
     the number the size guard was checked for (see ``reserve``).
     """
 
-    def __init__(self, start, P, steps, mod, dense_cap=DEFAULT_DENSE_CAP):
+    def __init__(self, start, P, steps, mod):
         self.nvars = start.nvars
         self.mod = mod
-        self.dense_cap = dense_cap
         self.count = 0
         self.pterms = sorted(P.with_modulus(mod).terms.items())
-        lo_p = [0] * self.nvars
-        hi_p = [0] * self.nvars
-        for e, _ in self.pterms:
-            for i, x in enumerate(e):
-                lo_p[i] = min(lo_p[i], x)
-                hi_p[i] = max(hi_p[i], x)
-        self.lo_p, self.hi_p = lo_p, hi_p
+        self.lo_p, self.hi_p = _box((e for e, _ in self.pterms), self.nvars)
         start = start.with_modulus(mod)
-        lo_s = [0] * self.nvars
-        hi_s = [0] * self.nvars
-        for e in start.terms:
-            for i, x in enumerate(e):
-                lo_s[i] = min(lo_s[i], x)
-                hi_s[i] = max(hi_s[i], x)
+        lo_s, hi_s = _box(start.terms, self.nvars)
         self._start_shape = [(hi_s[i] - lo_s[i]) + 1 for i in range(self.nvars)]
         self.reserve(steps)
         # reduce after every term when a whole step could overflow int64
@@ -62,9 +61,10 @@ class DenseChain:
         cells = 1
         for i in range(self.nvars):
             cells *= self._start_shape[i] + steps * (self.hi_p[i] - self.lo_p[i])
-        if cells > self.dense_cap:
+        if cells > DEFAULT_DENSE_CAP:
             raise ResourceLimitError(
-                "dense power chain needs %d cells, cap is %d" % (cells, self.dense_cap)
+                "dense power chain needs %d cells, cap is %d"
+                % (cells, DEFAULT_DENSE_CAP)
             )
         self.steps = steps
 
@@ -88,17 +88,9 @@ class DenseChain:
         self.offset = [self.offset[i] + lo_p[i] for i in range(self.nvars)]
         self.count += 1
 
-    def to_poly(self):
-        terms = {}
-        for idx in zip(*np.nonzero(self.arr)):
-            e = tuple(int(idx[i]) + self.offset[i] for i in range(self.nvars))
-            terms[e] = int(self.arr[idx])
-        return LaurentPoly(self.nvars, terms, self.mod)
-
     def section_poly(self, k):
-        """section_k of the current value (keep exponents divisible by k)."""
-        if k == 1:
-            return self.to_poly()
+        """section_k of the current value (keep exponents divisible by k);
+        k = 1 gives the value itself."""
         starts = [(-self.offset[i]) % k for i in range(self.nvars)]
         view = self.arr[tuple(slice(starts[i], None, k) for i in range(self.nvars))]
         terms = {}
@@ -111,9 +103,9 @@ class DenseChain:
         return LaurentPoly(self.nvars, terms, self.mod)
 
 
-def power_mod(P, exponent, mod, dense_cap=DEFAULT_DENSE_CAP):
+def power_mod(P, exponent, mod):
     """P^exponent mod ``mod`` through a dense multiply chain."""
-    chain = DenseChain(LaurentPoly.one(P.nvars, mod), P, exponent, mod, dense_cap)
+    chain = DenseChain(LaurentPoly.one(P.nvars, mod), P, exponent, mod)
     for _ in range(exponent):
         chain.step()
-    return chain.to_poly()
+    return chain.section_poly(1)

@@ -10,6 +10,7 @@ entry, or it finds the least index n0 with p | ct(P^n0).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -24,7 +25,7 @@ from .closure import close
 from .errors import ResourceLimitError
 from .laurent import LaurentPoly
 from .linrep import LinRep, check_digit_cap
-from .primepower import build_reduction_multi
+from .primepower import TildeReduction
 
 DEFAULT_STATE_CAP = 400_000
 # zero witnesses larger than this skip the brute-force cross-checks
@@ -33,12 +34,20 @@ WITNESS_VERIFY_BUDGET = 20_000
 
 @dataclass
 class ReachReport:
-    """Closure of the window vectors of P, with the zero-term flags."""
+    """Closure of the window vectors of P, with the zero-term flags.
 
-    states: list
+    ``state_array`` holds the states as rows; ``states`` lists them as
+    tuples, built on first read.
+    """
+
+    state_array: np.ndarray
     zero_ct_reachable: bool
     witness_n0: int | None
     nonzero_ct_off_origin: bool  # some n > 0 keeps the constant term a unit
+
+    @functools.cached_property
+    def states(self):
+        return list(zip(*self.state_array.T.tolist()))
 
 
 def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
@@ -71,8 +80,8 @@ def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
         fresh[table[frontier]] = True
         frontier = np.flatnonzero(fresh & ~marked)
         marked |= fresh
-    return ReachReport(list(zip(*states.T.tolist())), witness is not None,
-                       witness, bool(units[marked].any()))
+    return ReachReport(states, witness is not None, witness,
+                       bool(units[marked].any()))
 
 
 def _verify_witness(P, p, rep, n0):
@@ -157,7 +166,7 @@ def verdict(P, Q, p, a=1, state_cap=DEFAULT_STATE_CAP):
                        linearly_recurrent=None, recurrence_guaranteed=None,
                        status="inconclusive", **asked)
     _verify_witness(P, p, rep, reach.witness_n0)
-    return Verdict(reachable_states=len(reach.states),
+    return Verdict(reachable_states=len(reach.state_array),
                    zero_witness=reach.witness_n0,
                    linearly_recurrent=reach.witness_n0 is None,
                    recurrence_guaranteed=reach.nonzero_ct_off_origin,
@@ -302,7 +311,7 @@ def combine_components(P, parts, p, a, count):
     for shift, _, _ in parts:
         if shift < 0:
             raise ValueError("shifts must be >= 0")
-    red = build_reduction_multi(P, [q for _, q, _ in parts], p, a)
+    red = TildeReduction(P, [q for _, q, _ in parts], p, a)
     streams = [
         red.prefix(count + shift, which=i)[shift:]
         for i, (shift, _, _) in enumerate(parts)

@@ -283,7 +283,7 @@ def _cmd_oracle_check(args):
     reference = oracle.sequence(P, Q, args.p**args.a, args.n)
     red = build_reduction(P, Q, args.p, args.a)
     failed = False
-    for engine in ("linrep", "dfao", "dfao-reverse", "morphism", "primepower"):
+    for engine in [e for e in engines.ENGINE_NAMES if e != "oracle"]:
         got = engines.sequence(P, Q, args.p, args.a, args.n, engine, red=red)
         if got == reference:
             print("%s: PASS" % engine)

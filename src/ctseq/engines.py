@@ -27,12 +27,12 @@ from .primepower import build_reduction
 ENGINE_NAMES = ("linrep", "dfao", "dfao-reverse", "morphism", "primepower", "oracle")
 
 
-def sequence(P, Q, p, a, count, engine="linrep", red=None, **oracle_opts):
+def sequence(P, Q, p, a, count, engine="linrep", red=None):
     """The first ``count`` terms via the named engine."""
     if count < 0:
         raise ValueError("count must be >= 0")
     if engine == "oracle":
-        return oracle.sequence(P, Q, p**a, count, **oracle_opts)
+        return oracle.sequence(P, Q, p**a, count)
     if red is None:
         red = build_reduction(P, Q, p, a)
     if engine == "linrep":

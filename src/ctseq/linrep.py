@@ -34,11 +34,12 @@ _ROW_BLOCK = 8
 _BLOCK_ENTRIES = 2**16
 
 
-def check_digit_cap(p, digit_cap=DEFAULT_DIGIT_CAP):
+def check_digit_cap(p):
     """Refuse building all p digit matrices for primes above the cap."""
-    if p > digit_cap:
+    if p > DEFAULT_DIGIT_CAP:
         raise ResourceLimitError(
-            "materializing %d digit matrices exceeds cap %d" % (p, digit_cap)
+            "materializing %d digit matrices exceeds cap %d"
+            % (p, DEFAULT_DIGIT_CAP)
         )
 
 
@@ -83,7 +84,7 @@ class IndexSet:
         return "<IndexSet [-%d,%d]^%d, size %d>" % (self.m, self.m, self.r, len(self))
 
 
-def build_index(P, Qs, window_cap=DEFAULT_WINDOW_CAP):
+def build_index(P, Qs):
     """Window radius m = max(deg P - 1, max deg Q_i, 0) as an IndexSet."""
     r = P.nvars
     m = P.degree() - 1
@@ -92,16 +93,16 @@ def build_index(P, Qs, window_cap=DEFAULT_WINDOW_CAP):
             raise RingMismatchError("P and Q variable counts differ")
         m = max(m, q.degree())
     m = max(m, 0)
-    check_window(r, m, window_cap)
+    check_window(r, m)
     return IndexSet(r, m)
 
 
-def check_window(r, m, window_cap=DEFAULT_WINDOW_CAP):
-    """Refuse the window [-m, m]^r if it has more than window_cap entries."""
+def check_window(r, m):
+    """Refuse the window [-m, m]^r if it has more entries than the cap."""
     size = (2 * m + 1) ** r
-    if size > window_cap:
+    if size > DEFAULT_WINDOW_CAP:
         raise ResourceLimitError(
-            "window size %d exceeds cap %d" % (size, window_cap)
+            "window size %d exceeds cap %d" % (size, DEFAULT_WINDOW_CAP)
         )
 
 
@@ -251,12 +252,13 @@ class SparseDigitMap:
 class LinRep:
     """The triple (vec(Q), gamma, V(0)) over Z/p^a Z.
 
-    Matrices are built lazily per digit from one dense power chain of P
-    and cached in an append-only dict.  Builds hold a lock, so threads
-    sharing an instance all get the one cached matrix per digit.  For
-    a > 1 the base polynomial must satisfy P(x)^p = P(x^p) mod p^a,
-    which primepower.build_reduction arranges; with a = 1 any P
-    qualifies.
+    Matrices are built lazily in ascending digit order from one dense
+    power chain of P, which only moves forward, and cached in an
+    append-only dict: gamma(k) builds every missing matrix through k.
+    Builds hold a lock, so threads sharing an instance all get the one
+    cached matrix per digit.  For a > 1 the base polynomial must satisfy
+    P(x)^p = P(x^p) mod p^a, which primepower.build_reduction arranges;
+    with a = 1 any P qualifies.
 
     Matrix and vector entries are residues; they are stored as float64
     when every accumulated dot product fits below 2^53 (BLAS is far
@@ -266,18 +268,14 @@ class LinRep:
     else a matrix is a read-only ndarray.
     """
 
-    def __init__(self, P, Q, p, a=1,
-                 index_set=None,
-                 window_cap=DEFAULT_WINDOW_CAP,
-                 digit_cap=DEFAULT_DIGIT_CAP):
+    def __init__(self, P, Q, p, a=1, index_set=None):
         if a < 1:
             raise ValueError("exponent a must be >= 1")
         self.p = p
         self.a = a
         self.modulus = p**a
-        self.digit_cap = digit_cap
         if index_set is None:
-            index_set = build_index(P, [Q], window_cap)
+            index_set = build_index(P, [Q])
         self.index_set = index_set
         # matrix products accumulate |T| products of residues in int64
         if len(index_set) * (self.modulus - 1) ** 2 >= 2**62:
@@ -329,29 +327,28 @@ class LinRep:
             raise ValueError("digit %d out of range for base %d" % (k, self.p))
         g = self._gammas.get(k)
         if g is None:
-            g = self._gamma_built(k, k)
+            g = self._gamma_built(k)
         return g
 
-    def _gamma_built(self, k, horizon):
-        """Build gamma(k) once; the power chain is checked up to P^horizon."""
+    def _gamma_built(self, k):
+        """Build every digit matrix through gamma(k) once, in ascending
+        order, from the power chain of P, checked up to P^k."""
         with self._lock:
-            g = self._gammas.get(k)
-            if g is not None:
-                return g
-            chain = self._chain
-            if chain is None or chain.count > k:
-                chain = DenseChain(LaurentPoly.one(self.P.nvars, self.modulus),
-                                   self.P, horizon, self.modulus)
-                self._chain = chain
-            elif chain.steps < k:
-                chain.reserve(horizon)
-            while chain.count < k:
-                chain.step()
-            g = self._gather_gamma(chain.arr, chain.offset)
-            self._gammas[k] = g
-            if len(self._gammas) == self.p:
-                self._chain = None
-            return g
+            if k not in self._gammas:
+                if self._chain is None:
+                    self._chain = DenseChain(
+                        LaurentPoly.one(self.P.nvars, self.modulus),
+                        self.P, k, self.modulus)
+                chain = self._chain
+                if chain.steps < k:
+                    chain.reserve(k)
+                for j in range(len(self._gammas), k + 1):
+                    if j:
+                        chain.step()
+                    self._gammas[j] = self._gather_gamma(chain.arr, chain.offset)
+                if len(self._gammas) == self.p:
+                    self._chain = None
+            return self._gammas[k]
 
     def _gather_gamma(self, arr, offset):
         """gamma(k) from P^k, given densely from exponent vector ``offset``.
@@ -421,15 +418,9 @@ class LinRep:
 
     def all_gammas(self):
         """Every digit matrix; refused for primes above the digit cap."""
-        check_digit_cap(self.p, self.digit_cap)
-        out = []
-        for k in range(self.p):
-            g = self._gammas.get(k)
-            if g is None:
-                # one chain checked up to P^(p-1) serves every digit in turn
-                g = self._gamma_built(k, self.p - 1)
-            out.append(g)
-        return out
+        check_digit_cap(self.p)
+        self.gamma(self.p - 1)
+        return [self._gammas[k] for k in range(self.p)]
 
     # -- evaluation -----------------------------------------------------------
 

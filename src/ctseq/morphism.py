@@ -51,9 +51,8 @@ class MorphicStream:
     already generated prefix is safe concurrently.
     """
 
-    def __init__(self, rep, prefix_cap=DEFAULT_PREFIX_CAP):
+    def __init__(self, rep):
         self.rep = rep
-        self.prefix_cap = prefix_cap
         # the letters are the states of the lazy reverse automaton; this
         # also fails early if p exceeds the digit cap
         self._walk = Interner(rep.v0, rep.all_gammas(), rep.modulus, False)
@@ -74,9 +73,9 @@ class MorphicStream:
         come from one Interner.step on the letters at pos // p with the
         digits pos % p.
         """
-        if n > self.prefix_cap:
+        if n > DEFAULT_PREFIX_CAP:
             raise ResourceLimitError(
-                "prefix length %d exceeds cap %d" % (n, self.prefix_cap)
+                "prefix length %d exceeds cap %d" % (n, DEFAULT_PREFIX_CAP)
             )
         if len(self.prefix) >= n:
             return self

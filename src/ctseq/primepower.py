@@ -18,17 +18,10 @@ import threading
 
 import numpy as np
 
-from ._dense import DEFAULT_DENSE_CAP, DenseChain, power_mod
+from ._dense import DenseChain, power_mod
 from .errors import ResourceLimitError
 from .laurent import LaurentPoly
-from .linrep import (
-    DEFAULT_DIGIT_CAP,
-    DEFAULT_WINDOW_CAP,
-    IndexSet,
-    LinRep,
-    check_window,
-    digits_lsd,
-)
+from .linrep import LinRep, build_index, check_window, digits_lsd
 from .morphism import MorphicStream
 
 DEFAULT_BLOCK_CAP = 2**16
@@ -49,7 +42,7 @@ def _p_adic_valuation(x, p):
 # ---------------------------------------------------------------------------
 
 
-def reduce_p_tilde(P, p, a, dense_cap=DEFAULT_DENSE_CAP):
+def reduce_p_tilde(P, p, a):
     """The stable base for P mod p^a, as (polynomial, ell).
 
     Computes R = P^(p^(a-1)) mod p^a and divides every exponent by the
@@ -61,7 +54,7 @@ def reduce_p_tilde(P, p, a, dense_cap=DEFAULT_DENSE_CAP):
     mod = p**a
     if a == 1:
         return P.with_modulus(mod), 0
-    R = power_mod(P.with_modulus(mod), p ** (a - 1), mod, dense_cap)
+    R = power_mod(P.with_modulus(mod), p ** (a - 1), mod)
     if R.is_constant():
         return R, 0
     ell = None
@@ -88,48 +81,39 @@ class TildeReduction:
     once under a lock and grown by one extender at a time.
     """
 
-    def __init__(self, P, Qs, p, a,
-                 window_cap=DEFAULT_WINDOW_CAP,
-                 digit_cap=DEFAULT_DIGIT_CAP,
-                 block_cap=DEFAULT_BLOCK_CAP,
-                 dense_cap=DEFAULT_DENSE_CAP):
+    def __init__(self, P, Qs, p, a):
         if not Qs:
             raise ValueError("need at least one coding polynomial")
         self.p = p
         self.a = a
         self.modulus = p**a
         self.block_count = p ** (a - 1)
-        if self.block_count > block_cap:
+        if self.block_count > DEFAULT_BLOCK_CAP:
             raise ResourceLimitError(
                 "p^(a-1) = %d residue classes exceed cap %d"
-                % (self.block_count, block_cap)
+                % (self.block_count, DEFAULT_BLOCK_CAP)
             )
         mod = self.modulus
         self.P = P.with_modulus(mod)
         self.Qs = [q.with_modulus(mod) for q in Qs]
-        self.p_tilde, self.ell = reduce_p_tilde(P, p, a, dense_cap)
+        self.p_tilde, self.ell = reduce_p_tilde(P, p, a)
         # the window radius is at least deg P~ - 1, so a window over the
         # cap is refused exactly before any coding chain runs
-        m = max(self.p_tilde.degree() - 1, 0)
-        check_window(P.nvars, m, window_cap)
+        check_window(P.nvars, max(self.p_tilde.degree() - 1, 0))
         pl = p**self.ell
         # reduced codings: section_{p^ell}(P^k Q) for every residue k
         self.reduced_codings = []
         for q in self.Qs:
-            chain = DenseChain(q, self.P, self.block_count - 1, mod, dense_cap)
+            chain = DenseChain(q, self.P, self.block_count - 1, mod)
             codings = [chain.section_poly(pl)]
             for _ in range(self.block_count - 1):
                 chain.step()
                 codings.append(chain.section_poly(pl))
             self.reduced_codings.append(codings)
-        for codings in self.reduced_codings:
-            for q in codings:
-                m = max(m, q.degree())
-        check_window(P.nvars, m, window_cap)
-        index = IndexSet(P.nvars, m)
+        index = build_index(self.p_tilde,
+                            itertools.chain.from_iterable(self.reduced_codings))
         self.tilde_rep = LinRep(
-            self.p_tilde, self.reduced_codings[0][0], p, a,
-            index_set=index, digit_cap=digit_cap,
+            self.p_tilde, self.reduced_codings[0][0], p, a, index_set=index,
         )
         # per coding, its rows stacked as one (p^(a-1), |T|) block
         self._rows = []
@@ -192,11 +176,6 @@ class TildeReduction:
         )
 
 
-def build_reduction(P, Q, p, a, **caps):
+def build_reduction(P, Q, p, a):
     """The single-coding reduction for ct(P^n Q) mod p^a."""
-    return TildeReduction(P, [Q], p, a, **caps)
-
-
-def build_reduction_multi(P, Qs, p, a, **caps):
-    """One reduction serving several codings over a shared window."""
-    return TildeReduction(P, Qs, p, a, **caps)
+    return TildeReduction(P, [Q], p, a)

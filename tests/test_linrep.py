@@ -18,7 +18,7 @@ from ctseq.linrep import (
     build_index,
     digits_lsd,
 )
-from ctseq.primepower import build_reduction
+from ctseq.primepower import TildeReduction, build_reduction
 from ctseq.textio import parse_poly, preset
 
 one = LaurentPoly.one(1)
@@ -216,7 +216,7 @@ def test_row_vector_validation():
 
 def test_digit_cap():
     P, Q = preset("pascal")
-    rep = LinRep(P, Q, 103, digit_cap=101)
+    rep = LinRep(P, Q, 103)
     assert rep.eval_term(5) is not None  # single digits build lazily
     with pytest.raises(ResourceLimitError):
         rep.all_gammas()
@@ -314,8 +314,8 @@ def test_gamma_matches_definition(case):
             for b, j in enumerate(vecs):
                 shift = LaurentPoly(P.nvars, {tuple(x - p * y for x, y in zip(i, j)): 1})
                 assert gammas[k][a, b] == oracle.ct_pow_mod(P, shift, k, p), (k, i, j)
-    # one digit first, then every digit upwards: the lazy power chain
-    # restarts below its current power and extends above its guard
+    # one digit first, then every digit upwards: the first builds every
+    # matrix through its digit, and the power chain extends above its guard
     lazy = LinRep(P, LaurentPoly.one(P.nvars), p)
     order = [lazy_digit] + list(range(p))
     for k in order:
@@ -383,10 +383,8 @@ def test_terms_batch_longer_than_one_chunk():
 
 
 def test_terms_batch_second_coding():
-    from ctseq.primepower import build_reduction_multi
-
     P, Q = preset("motzkin")
-    red = build_reduction_multi(P, [Q, one, parse_poly("x^-1 + 3")], 2, 3)
+    red = TildeReduction(P, [Q, one, parse_poly("x^-1 + 3")], 2, 3)
     ns = [9, 0, 2**40 + 3, 9, 1, 255]
     for which in (1, 2):
         assert red.terms(ns, which=which) == [red.term(n, which) for n in ns]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ctseq import oracle
+from ctseq import morphism, oracle
 from ctseq.laurent import LaurentPoly
 from ctseq.linrep import LinRep
 from ctseq.morphism import MorphicStream, sigma_image
@@ -125,8 +125,9 @@ def test_row_length_validation():
         MorphicStream(rep).coded_prefix([1, 2], 4)
 
 
-def test_prefix_cap():
+def test_prefix_cap(monkeypatch):
+    monkeypatch.setattr(morphism, "DEFAULT_PREFIX_CAP", 100)
     P, Q = preset("motzkin")
-    stream = MorphicStream(LinRep(P, Q, 3), prefix_cap=100)
+    stream = MorphicStream(LinRep(P, Q, 3))
     with pytest.raises(Exception):
         stream.extend(101)

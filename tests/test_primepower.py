@@ -168,7 +168,7 @@ def test_apery_reduction_small():
 def test_block_cap():
     P, _ = preset("pascal")
     with pytest.raises(ResourceLimitError):
-        TildeReduction(P, [one], 2, 20, block_cap=1000)
+        TildeReduction(P, [one], 2, 20)
 
 
 def test_oversized_window_refused_before_any_coding_chain(monkeypatch):
