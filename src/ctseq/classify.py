@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import oracle
-from .closure import close
+from .closure import Interner, close
 from .errors import ResourceLimitError
 from .laurent import LaurentPoly
 from .linrep import LinRep, check_digit_cap
@@ -50,6 +50,18 @@ class ReachReport:
         return list(zip(*self.state_array.T.tolist()))
 
 
+def _least_index(parent, digit, s, p):
+    """The least n with V(n) equal to state s: the digits of the walk
+    that first reached s, most significant first.  Least indices can
+    exceed int64, so the parent links are walked in Python ints."""
+    n, place = 0, 1
+    while s:
+        n += int(digit[s]) * place
+        place *= p
+        s = parent[s]
+    return n
+
+
 def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
     """All vectors gamma-reachable from V(0), in first-occurrence order.
 
@@ -63,14 +75,7 @@ def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
                                          False, state_cap, "reachable set")
     units = states[:, rep.index_set.constant_index] % p != 0
     zero = np.flatnonzero(~units[1:])
-    witness = None
-    if zero.size:
-        # least indices can exceed int64: walk the parent links in Python ints
-        s, walk = int(zero[0]) + 1, []
-        while s:
-            walk.append(int(digit[s]))
-            s = parent[s]
-        witness = sum(d * p**i for i, d in enumerate(walk))
+    witness = _least_index(parent, digit, int(zero[0]) + 1, p) if zero.size else None
     # the V(n) with n > 0: the states reached along a walk with a nonzero digit
     marked = np.zeros(len(table), dtype=bool)
     marked[table[:, 1:]] = True
@@ -85,8 +90,10 @@ def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
 
 
 def _verify_witness(P, p, rep, n0):
-    """Belt-and-braces checks on a BFS witness (skipped when huge), on
-    terms from LinRep.eval_many, which shares no code with the closure."""
+    """Belt-and-braces checks on a BFS witness (skipped when huge): every
+    earlier term is nonzero mod p and term n0 is zero, on terms from
+    LinRep.eval_many, which shares no code with the closure, and up to
+    n0 = 2000 on the brute-force oracle as well."""
     if n0 is None or n0 > WITNESS_VERIFY_BUDGET:
         return
     unit, terms = rep.row_Q, []
@@ -97,21 +104,35 @@ def _verify_witness(P, p, rep, n0):
     if terms[n0] % p != 0:
         raise AssertionError("breadth-first witness %d is not a zero" % n0)
     if n0 <= 2_000:
-        if oracle.ct_pow_mod(P, LaurentPoly.one(P.nvars), n0, p) != 0:
+        brute = oracle.sequence(P, LaurentPoly.one(P.nvars), p, n0 + 1)
+        if 0 in brute[:n0] or brute[n0] != 0:
             raise AssertionError("oracle rejects witness %d" % n0)
 
 
 def zero_witness(P, p, state_cap=DEFAULT_STATE_CAP):
     """Least n with p | ct(P^n), or None if provably no such n exists.
 
-    None is exact, not heuristic: it means the closure was exhausted
-    with every constant entry a unit mod p.  A state-cap overflow
-    raises ResourceLimitError instead of returning anything.
+    The closure of V(0) numbers its states in order of their least
+    index, so the first state interned with constant entry 0 mod p gives
+    the answer: the walk stops after the block that interns it.  None is
+    exact, not heuristic: it means the closure was exhausted with every
+    constant entry a unit mod p.  ResourceLimitError means the state cap
+    tripped before any zero was interned.  A witness up to
+    WITNESS_VERIFY_BUDGET is re-checked on LinRep.eval_many (every
+    earlier term a unit, term n0 zero), and up to 2000 on the whole
+    oracle prefix as well.
     """
     rep = LinRep(P, LaurentPoly.one(P.nvars), p, 1)
-    reach = reachable_states(rep, state_cap)
-    _verify_witness(P, p, rep, reach.witness_n0)
-    return reach.witness_n0
+    walk = Interner(rep.v0, rep.all_gammas(), rep.modulus, False, state_cap,
+                    "reachable set")
+    c, witness = rep.index_set.constant_index, None
+    for first in walk.blocks():
+        zero = np.flatnonzero(walk.states[first:walk.count, c] % p == 0)
+        if zero.size:
+            witness = _least_index(*walk.links(), first + int(zero[0]), p)
+            break
+    _verify_witness(P, p, rep, witness)
+    return witness
 
 
 @dataclass
@@ -373,9 +394,13 @@ def conjecture_scan(count=200, degree_max=3, coeff_max=3, primes=(2, 3, 5),
 
     Every found witness is compared against the p^deg(P) threshold;
     rows that meet or exceed it are findings reported as violations,
-    never assertion failures.  A prime above the digit cap raises
-    ResourceLimitError before any scanning, so "inconclusive" only ever
-    means a state-cap overflow.
+    never assertion failures.  Each witness comes from zero_witness,
+    which stops its closure at the first zero and re-checks the witness
+    against LinRep.eval_many and, up to n0 = 2000, the oracle's whole
+    prefix.  A prime above the digit cap raises ResourceLimitError
+    before any scanning, so "inconclusive" only ever means that the
+    state cap tripped before any zero was interned.  The bound uses
+    the degree of P as given, not of P mod p.
     """
     for p in primes:
         check_digit_cap(p)

@@ -2,9 +2,10 @@
 
 Verdicts, automata, the lazy engine runs and the letter stream walk
 vectors under v -> v @ gamma(k) (forward) or v -> gamma(k) @ v
-(reverse), and all number them through one ``Interner``.  ``close``
-walks a whole closure a block of the queue at a time, ``Interner.step``
-only the transitions a lazy walk asks for.
+(reverse), and all number them through one ``Interner``.
+``Interner.blocks`` walks a closure a block of the queue at a time and
+can be stopped after any block; ``close`` runs it to the end.
+``Interner.step`` computes only the transitions a lazy walk asks for.
 """
 
 from __future__ import annotations
@@ -120,31 +121,43 @@ class Interner:
             out[miss] = found[back]
         return out
 
+    def blocks(self):
+        """Close the walk breadth first, a block of the queue at a time,
+        yielding after each block the id of its first new state, so a
+        caller may stop at any block.  A block's candidates come in
+        (parent, digit) order, which numbers states as the
+        one-state-at-a-time FIFO walk does."""
+        p, width = len(self.gammas), self.states.shape[1]
+        done = 0
+        while done < self.count:
+            lo, hi = _BLOCK_ENTRIES
+            rows = max(1, min(max(lo, self.count * p * width // 8), hi) // (p * width))
+            block = self.states[done:min(self.count, done + rows)].astype(self.dtype)
+            cand = np.empty((len(block), p, width), dtype=np.int64)
+            for k, g in enumerate(self.gammas):
+                cand[:, k] = block @ g if self.forward else (g @ block.T).T
+            cand = cand.reshape(-1, width)
+            cand %= self.modulus
+            first = self.count
+            ids = self.intern(cand, np.arange(done * p, done * p + len(cand)))
+            self.table[done:done + len(block)] = ids.reshape(-1, p)
+            done += len(block)
+            yield first
+
+    def links(self):
+        """(parent, digit): state s > 0 was first reached from
+        ``parent[s]`` by digit ``digit[s]``."""
+        return np.divmod(np.concatenate(self.origin), len(self.gammas))
+
 
 def close(start, gammas, modulus, forward, state_cap, what):
     """(states, transitions, parent, digit) of the closure of ``start``.
 
     ``forward`` applies ``rows @ g``, otherwise ``(g @ rows.T).T``, so
-    SparseDigitMap windows work through their 2-D products.  A block's
-    candidates come in (parent, digit) order, which numbers states as the
-    one-state-at-a-time FIFO walk does; state s > 0 was first reached from
-    ``parent[s]`` by ``digit[s]``.  Over ``state_cap`` states raise
-    ResourceLimitError.
+    SparseDigitMap windows work through their 2-D products.  Over
+    ``state_cap`` states raise ResourceLimitError.
     """
     walk = Interner(start, gammas, modulus, forward, state_cap, what)
-    p, width = len(gammas), len(start)
-    done = 0
-    while done < walk.count:
-        lo, hi = _BLOCK_ENTRIES
-        rows = max(1, min(max(lo, walk.count * p * width // 8), hi) // (p * width))
-        block = walk.states[done:min(walk.count, done + rows)].astype(start.dtype)
-        cand = np.empty((len(block), p, width), dtype=np.int64)
-        for k, g in enumerate(gammas):
-            cand[:, k] = block @ g if forward else (g @ block.T).T
-        cand = cand.reshape(-1, width)
-        cand %= modulus
-        ids = walk.intern(cand, np.arange(done * p, done * p + len(cand)))
-        walk.table[done:done + len(block)] = ids.reshape(-1, p)
-        done += len(block)
-    parent, digit = np.divmod(np.concatenate(walk.origin), p)
-    return walk.states[:walk.count], walk.table[:walk.count], parent, digit
+    for _ in walk.blocks():
+        pass
+    return (walk.states[:walk.count], walk.table[:walk.count]) + walk.links()

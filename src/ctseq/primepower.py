@@ -19,7 +19,7 @@ import threading
 import numpy as np
 
 from ._dense import DenseChain, power_mod
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, RingMismatchError
 from .laurent import LaurentPoly
 from .linrep import LinRep, build_index, check_window, digits_lsd
 from .morphism import MorphicStream
@@ -84,6 +84,8 @@ class TildeReduction:
     def __init__(self, P, Qs, p, a):
         if not Qs:
             raise ValueError("need at least one coding polynomial")
+        if any(q.nvars != P.nvars for q in Qs):
+            raise RingMismatchError("P and Q variable counts differ")
         self.p = p
         self.a = a
         self.modulus = p**a

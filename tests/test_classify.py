@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ def test_zero_witness_minimality_scan():
                 assert all(v != 0 for v in seq[:w])
             elif w is None:
                 assert all(v != 0 for v in seq)
+
+
+@pytest.mark.parametrize("n0, why", [(5, "not minimal"), (1, "not a zero")])
+def test_doctored_witnesses_are_refused(n0, why):
+    # ct((x^-1+1+x)^n) mod 3 runs 1, 1, 0, 1, 1, 0, ...: 2 is the least
+    # zero, 5 a later one and 1 no zero at all
+    P, _ = preset("trinomial")
+    rep = LinRep(P, one, 3)
+    classify._verify_witness(P, 3, rep, 2)
+    with pytest.raises(AssertionError, match=why):
+        classify._verify_witness(P, 3, rep, n0)
+    # terms that agree with the claim leave the refusal to the oracle leg
+    doctored = SimpleNamespace(row_Q=rep.row_Q, eval_many=lambda ns, rows: [
+        0 if n == n0 else 1 for n in ns])
+    with pytest.raises(AssertionError, match="oracle rejects witness %d" % n0):
+        classify._verify_witness(P, 3, doctored, n0)
 
 
 def test_absent_witness_means_no_zero_in_long_scan():

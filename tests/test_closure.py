@@ -3,18 +3,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
 from ctseq import closure, engines, linrep
-from ctseq.classify import reachable_states
+from ctseq.classify import reachable_states, zero_witness
 from ctseq.dfao import build_forward, build_reverse
 from ctseq.errors import ResourceLimitError
 from ctseq.laurent import LaurentPoly
+from ctseq.linrep import LinRep
 from ctseq.morphism import MorphicStream
 from ctseq.primepower import build_reduction
-from ctseq.textio import preset
+from ctseq.textio import parse_poly, preset
 
 
 @st.composite
@@ -95,6 +96,47 @@ def test_closure_matches_fifo_loops(case):
                     mp.setattr(closure, "_BLOCK_ENTRIES", block)
                     got = _closures(*case)
                 assert got == want, (sparse, packed, block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closure_cases())
+def test_early_stop_witness_matches_fifo_loop(case):
+    P, _, p, _, cap = case
+    rep = LinRep(P, LaurentPoly.one(P.nvars), p, 1)
+    full = _outcome(lambda: ref.reachable_states(rep, 3000))
+    assume(not isinstance(full, tuple) or full[0] != "over cap")
+    states, want, _ = full
+    refused = ("over cap", "reachable set exceeds %d states" % cap, cap)
+    for sparse in (False, True):
+        for packed in (True, False):
+            for block in (closure._BLOCK_ENTRIES, (1, 1)):
+                with pytest.MonkeyPatch.context() as mp:
+                    if sparse:
+                        mp.setattr(linrep, "_SPARSE_WINDOW", 0)
+                    if not packed:
+                        mp.setattr(closure, "_PACK_LIMIT", 0)
+                    mp.setattr(closure, "_BLOCK_ENTRIES", block)
+                    whole = _outcome(lambda: zero_witness(P, p, 3000))
+                    capped = _outcome(lambda: zero_witness(P, p, cap))
+                assert whole == want, (sparse, packed, block)
+                # a cap may refuse before the first zero, never change it
+                assert capped == want or capped == refused, (sparse, packed, block)
+                if cap >= len(states):
+                    assert capped == want, (sparse, packed, block)
+
+
+def test_early_stop_returns_witness_under_a_cap_the_closure_passes():
+    # the mid-size verdict polynomial closes over 16,807 states at p = 7,
+    # but its first zero (n = 2) is interned within the first 7
+    P = parse_poly("x^-3+2*x^-1+1+x^2+3*x^3")
+    rep = LinRep(P, LaurentPoly.one(1), 7, 1)
+    assert zero_witness(P, 7, state_cap=7) == 2
+    for full_walk in (lambda: reachable_states(rep, 7),
+                      lambda: ref.reachable_states(rep, 7)):
+        with pytest.raises(ResourceLimitError, match="exceeds 7 states"):
+            full_walk()
+    with pytest.raises(ResourceLimitError):
+        zero_witness(P, 7, state_cap=6)
 
 
 @st.composite

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from ctseq import oracle, primepower
-from ctseq.errors import ResourceLimitError
+from ctseq.errors import ResourceLimitError, RingMismatchError
 from ctseq.laurent import LaurentPoly
 from ctseq.linrep import LinRep
 from ctseq.morphism import MorphicStream
@@ -181,6 +181,13 @@ def test_oversized_window_refused_before_any_coding_chain(monkeypatch):
     P, Q = preset("apery")
     with pytest.raises(ResourceLimitError, match="window size 117649"):
         build_reduction(P, Q, 5, 3)
+
+
+@pytest.mark.parametrize("a", [1, 2])
+@pytest.mark.parametrize("P, Q", [("x^-1+1+x", "x*y+1"), ("x*y+1+x^-1", "x+1")])
+def test_mismatched_variable_counts_refused(P, Q, a):
+    with pytest.raises(RingMismatchError, match="variable counts differ"):
+        build_reduction(parse_poly(P), parse_poly(Q), 2, a)
 
 
 def test_letter_stream_threads_share_one_stream():
