@@ -39,14 +39,19 @@ class DenseChain:
         self.nvars = start.nvars
         self.mod = mod
         self.count = 0
-        self.pterms = sorted(P.with_modulus(mod).terms.items())
-        self.lo_p, self.hi_p = _box((e for e, _ in self.pterms), self.nvars)
+        pterms = sorted(P.with_modulus(mod).terms.items())
+        self.lo_p, self.hi_p = _box((e for e, _ in pterms), self.nvars)
+        # where each term of P lands in a product, grouped by coefficient
+        self._starts = {}
+        for e, c in pterms:
+            self._starts.setdefault(c, []).append(
+                [e[i] - self.lo_p[i] for i in range(self.nvars)])
         start = start.with_modulus(mod)
         lo_s, hi_s = _box(start.terms, self.nvars)
         self._start_shape = [(hi_s[i] - lo_s[i]) + 1 for i in range(self.nvars)]
         self.reserve(steps)
         # reduce after every term when a whole step could overflow int64
-        self._reduce_each = (mod - 1) ** 2 * max(len(self.pterms), 1) >= 2**63
+        self._reduce_each = (mod - 1) ** 2 * max(len(pterms), 1) >= 2**63
         if (mod - 1) ** 2 + mod >= 2**63:
             raise ResourceLimitError(
                 "modulus %d too large for exact int64 dense arithmetic" % mod
@@ -69,37 +74,32 @@ class DenseChain:
         self.steps = steps
 
     def step(self):
-        """Multiply the current array by P once."""
-        arr, lo_p, hi_p = self.arr, self.lo_p, self.hi_p
-        new_shape = [
-            arr.shape[i] + (hi_p[i] - lo_p[i]) for i in range(self.nvars)
-        ]
-        out = np.zeros(new_shape, dtype=np.int64)
-        for e, c in self.pterms:
-            sl = tuple(
-                slice(e[i] - lo_p[i], e[i] - lo_p[i] + arr.shape[i])
-                for i in range(self.nvars)
-            )
-            out[sl] += c * arr
-            if self._reduce_each:
-                out[sl] %= self.mod
+        """Multiply the current array by P once: one scaled copy of it
+        per distinct coefficient, added in place at each of its terms."""
+        arr = self.arr
+        out = np.zeros([n + hi - lo for n, lo, hi in
+                        zip(arr.shape, self.lo_p, self.hi_p)], dtype=np.int64)
+        for c, starts in self._starts.items():
+            scaled = c * arr
+            for start in starts:
+                sl = tuple(slice(s, s + n) for s, n in zip(start, arr.shape))
+                out[sl] += scaled
+                if self._reduce_each:
+                    out[sl] %= self.mod
         out %= self.mod
         self.arr = out
-        self.offset = [self.offset[i] + lo_p[i] for i in range(self.nvars)]
+        self.offset = [o + lo for o, lo in zip(self.offset, self.lo_p)]
         self.count += 1
 
     def section_poly(self, k):
         """section_k of the current value (keep exponents divisible by k);
         k = 1 gives the value itself."""
-        starts = [(-self.offset[i]) % k for i in range(self.nvars)]
-        view = self.arr[tuple(slice(starts[i], None, k) for i in range(self.nvars))]
-        terms = {}
-        for idx in zip(*np.nonzero(view)):
-            e = tuple(
-                (int(idx[i]) * k + starts[i] + self.offset[i]) // k
-                for i in range(self.nvars)
-            )
-            terms[e] = int(view[idx])
+        starts = [(-o) % k for o in self.offset]
+        view = self.arr[tuple(slice(s, None, k) for s in starts)]
+        at = np.nonzero(view)
+        # cell idx of the view holds exponent k * idx + start + offset
+        exps = np.transpose(at) + [(s + o) // k for s, o in zip(starts, self.offset)]
+        terms = dict(zip(map(tuple, exps.tolist()), view[at].tolist()))
         return LaurentPoly(self.nvars, terms, self.mod)
 
 

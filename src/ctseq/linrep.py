@@ -24,7 +24,8 @@ from .laurent import LaurentPoly
 DEFAULT_WINDOW_CAP = 5000
 # building every digit matrix is refused for primes above this
 DEFAULT_DIGIT_CAP = 101
-# elements read per chunk while gathering one digit matrix
+# entries gathered, or candidate keys expanded, per chunk of one digit
+# matrix, so that no temporary grows with the whole matrix
 _GATHER_CHUNK = 2**18
 # windows larger than this hold their digit matrices as SparseDigitMap
 _SPARSE_WINDOW = 1024
@@ -132,14 +133,31 @@ class StateVector:
         return "StateVector%r" % (self.entries,)
 
 
-def _layout(counts, idx, vals):
-    """One layout of a sparse matrix: (keys present, where each key's run
-    starts, idx, vals), all read-only.  The entries are sorted by key,
-    and key k has counts[k] of them; a row layout has row keys and
-    column idx.
+def _key_bits(n, modulus):
+    """Widths (b, c) of the int64 keys ((major << b | minor) << c) + value
+    of an n x n SparseDigitMap of residues mod ``modulus``."""
+    bits = ((n - 1).bit_length(), (modulus - 1).bit_length())
+    assert 2 * bits[0] + bits[1] <= 63, "digit map keys overflow int64"
+    return bits
+
+
+def _layout(keys, n, bits, dtype):
+    """Sort the keys of an n x n map in place and read one layout off
+    them: (majors present, where each major's run starts, minors,
+    values), all read-only.  A column layout has column majors and row
+    minors.
     """
-    at = np.flatnonzero(counts)
-    out = (at, (np.cumsum(counts) - counts)[at], idx, vals)
+    b, c = bits
+    keys.sort()
+    # the run of major k starts at the first key >= k << (b + c)
+    bounds = np.searchsorted(keys, np.arange(n + 1) << (b + c))
+    at = np.flatnonzero(np.diff(bounds))
+    low = keys & ((1 << c) - 1)
+    vals = low.astype(dtype, copy=False)
+    # the minors go into the integer values' buffer once they are copied
+    minors = np.right_shift(keys, c, out=None if vals is low else low)
+    minors &= (1 << b) - 1
+    out = (at, bounds[at], minors, vals)
     for a in out:
         a.setflags(write=False)
     return out
@@ -195,18 +213,23 @@ class SparseDigitMap:
 
     __array_ufunc__ = None
 
-    def __init__(self, rows, vals, col_counts):
-        """Entries (rows[e], j) = vals[e], sorted by column j and then row;
-        column j holds col_counts[j] of them."""
-        n = len(col_counts)
+    def __init__(self, keys, n, modulus, dtype):
+        """Entries (i, j) = v, v a residue mod ``modulus``, given in any
+        order as the int64 keys ((j << b | i) << c) + v of _key_bits;
+        ``keys`` is sorted and rewritten in place."""
+        bits = _key_bits(n, modulus)
         self.shape = (n, n)
         self.size = n * n
-        self.dtype = vals.dtype
-        self._csc = _layout(col_counts, rows, vals)
-        # a stable sort of keys of at most 16 bits is a radix sort
-        order = np.argsort(rows.astype(np.min_scalar_type(n - 1)), kind="stable")
-        cols = np.repeat(np.arange(n), col_counts)[order]
-        self._csr = _layout(np.bincount(rows, minlength=n), cols, vals[order])
+        self.dtype = np.dtype(dtype)
+        self._csc = _layout(keys, n, bits, dtype)
+        # rekey as ((i << b | j) << c) + v: add (i - j) * ((1 << b) - 1 << c)
+        at, starts, rows, _ = self._csc
+        shift = np.repeat(at, np.diff(starts, append=rows.size))
+        np.subtract(rows, shift, out=shift)
+        shift *= ((1 << bits[0]) - 1) << bits[1]
+        keys += shift
+        del shift
+        self._csr = _layout(keys, n, bits, dtype)
 
     @property
     def nnz(self):
@@ -264,8 +287,9 @@ class LinRep:
     when every accumulated dot product fits below 2^53 (BLAS is far
     faster than integer loops and remains exact there), else as int64.
     Windows above _SPARSE_WINDOW entries hold each matrix as a
-    SparseDigitMap, which supports the same ``@`` products; everywhere
-    else a matrix is a read-only ndarray.
+    SparseDigitMap built from the nonzeros of P^k, which supports the
+    same ``@`` products; everywhere else a matrix is a read-only ndarray
+    gathered from P^k in strided passes.
     """
 
     def __init__(self, P, Q, p, a=1, index_set=None):
@@ -351,44 +375,62 @@ class LinRep:
             return self._gammas[k]
 
     def _gather_gamma(self, arr, offset):
-        """gamma(k) from P^k, given densely from exponent vector ``offset``.
+        """gamma(k) from P^k, given densely from exponent vector ``offset``."""
+        if len(self.index_set) > _SPARSE_WINDOW:
+            return self._sparse_gamma(arr, offset)
+        return self._dense_gamma(arr, offset)
 
-        Windows above _SPARSE_WINDOW entries get a SparseDigitMap of the
-        nonzero entries, smaller ones a dense matrix.  Only nonzero
-        entries are written into the dense one, so the untouched pages of
-        the zeroed matrix stay free.
+    def _sparse_gamma(self, arr, offset):
+        """gamma(k) as a SparseDigitMap built from the nonzeros of P^k.
+
+        The coefficient of x^e lands in (p*j - e, j) for each j of the
+        window with p*j - e in it too, at most ceil((2m+1)/p) per axis.
+        A key is a sum of one part per axis, so each chunk of about
+        _GATHER_CHUNK candidates adds one table row per axis to its
+        values by broadcasting and masks out the j that do not exist.
         """
-        n = len(self.index_set)
-        entries = self._gamma_entries(arr, offset)
-        if n > _SPARSE_WINDOW:
-            rows, vals = [np.zeros(0, np.intp)], [np.zeros(0, self._dtype)]
-            counts = np.zeros(n, dtype=np.intp)
-            for r, c, v in entries:
-                rows.append(r)
-                vals.append(v.astype(self._dtype))
-                counts += np.bincount(c, minlength=n)
-            # rebinding frees each chunk list before the next copy
-            rows = np.concatenate(rows)
-            vals = np.concatenate(vals)
-            return SparseDigitMap(rows, vals, counts)
-        g = np.zeros((n, n), dtype=self._dtype)
-        for rows, cols, vals in entries:
-            g[rows, cols] = vals
-        g.setflags(write=False)
-        return g
+        index = self.index_set
+        p, m, r = self.p, index.m, index.r
+        b, c = _key_bits(len(index), self.modulus)
+        width = -(-(2 * m + 1) // p)
+        exps = np.nonzero(arr)
+        tables, masks, counts = [], [], 1
+        for axis, o in enumerate(offset):
+            e = np.arange(o, o + arr.shape[axis])[:, None]
+            j = np.maximum(-m, -((m - e) // p)) + np.arange(width)
+            ok = j <= np.minimum(m, (e + m) // p)
+            counts = counts * ok.sum(axis=1)[exps[axis]]
+            # entry (i, j) has key ((j << b | i) << c) + value
+            part = (((j + m) << b) + p * j - e + m) * ((2 * m + 1) ** (r - 1 - axis) << c)
+            shape = (-1,) + (1,) * axis + (width,) + (1,) * (r - 1 - axis)
+            tables.append(part.reshape(shape))
+            masks.append(ok.reshape(shape))
+        vals = arr[exps]
+        keys = np.empty(int(np.sum(counts)), dtype=np.int64)
+        filled, step = 0, max(1, _GATHER_CHUNK // width**r)
+        for lo in range(0, vals.size, step):
+            cand, keep = vals[lo:lo + step].reshape((-1,) + (1,) * r), True
+            for axis in range(r):
+                at = exps[axis][lo:lo + step]
+                cand = cand + tables[axis][at]
+                keep = keep & masks[axis][at]
+            cand = cand[keep]
+            keys[filled:filled + cand.size] = cand
+            filled += cand.size
+        return SparseDigitMap(keys, len(index), self.modulus, self._dtype)
 
-    def _gamma_entries(self, arr, offset):
-        """The nonzero entries of gamma(k) as (rows, cols, values) chunks.
+    def _dense_gamma(self, arr, offset):
+        """gamma(k) as a read-only ndarray gathered from P^k.
 
         Entry (i, j) is the coefficient of x^(p*j - i), so each column is
         a window of P^k read backwards from p*j: one strided gather over
-        a box of P^k, done in chunks of columns.  Only columns whose
-        window meets the support of P^k are read, and the box spans just
-        the exponents those columns reach.  Chunks come in column order,
-        and entries within a chunk by column, then row.
+        the box of P^k that the columns meeting its support reach, done
+        in chunks of columns.  Only nonzero entries are written, so the
+        untouched pages of the zeroed matrix stay free.
         """
         index = self.index_set
         p, m, n = self.p, index.m, len(index)
+        g = np.zeros((n, n), dtype=self._dtype)
         # per axis, the columns j whose exponents p*j - i (|i| <= m) meet
         # the exponents o .. o + s - 1 that arr holds
         lo = [max(-m, -((m - o) // p)) for o in offset]
@@ -414,7 +456,9 @@ class LinRep:
             for c in range(0, len(cols), step):
                 vals = flat[col_at[c:c + step, None] + row_at]
                 jj, ii = np.nonzero(vals)
-                yield ii, cols[c + jj], vals[jj, ii]
+                g[ii, cols[c + jj]] = vals[jj, ii]
+        g.setflags(write=False)
+        return g
 
     def all_gammas(self):
         """Every digit matrix; refused for primes above the digit cap."""

@@ -83,7 +83,7 @@ def power_terms(P, n, modulus, term_guard=DEFAULT_TERM_GUARD,
     arr = np.full((1,) * nvars, 1 % modulus, dtype=np.int64)
     start = [0] * nvars
     for _ in range(n):
-        arr, start = _shift_add_mul(arr, start, P.terms, modulus, nvars)
+        arr, start = _shift_add_mul(arr, start, P.terms, (lo, hi), modulus)
     return _dense_terms(arr, start)
 
 
@@ -112,11 +112,11 @@ def sequence(P, Q, modulus, count, max_n=DEFAULT_MAX_N,
     if P.nvars == 1 and (modulus - 1) ** 2 * max(len(P.terms), 1) < 2**62:
         return _sequence_dense_1d(P, Q, modulus, count)
     if P.nvars > 1 and (modulus - 1) ** 2 * max(len(P.terms), len(Q.terms), 1) < 2**62:
-        plan = _halving_plan(P, Q, count, dense_cells)
-        if plan is not None:
-            return _sequence_dense_halving(P, Q, modulus, count, plan)
+        pbounds, qbounds = _bounds(P.terms, P.nvars), _bounds(Q.terms, Q.nvars)
+        if _halving_fits(pbounds, qbounds, count, dense_cells):
+            return _sequence_dense_halving(P, Q, modulus, count, pbounds, qbounds)
         return _sequence_dense_running(P, Q, modulus, count, term_guard,
-                                       dense_cells)
+                                       dense_cells, pbounds)
     return _sequence_dicts(P, Q, modulus, count, term_guard)
 
 
@@ -186,7 +186,8 @@ def _dense_ct(arr, lo):
     return int(arr[tuple(-x for x in lo)])
 
 
-def _sequence_dense_running(P, Q, modulus, count, term_guard, dense_cells):
+def _sequence_dense_running(P, Q, modulus, count, term_guard, dense_cells,
+                            pbounds):
     """Q, PQ, P^2 Q, ... as a dense running product, one _shift_add_mul
     by P per index, while the next box fits ``dense_cells``.
 
@@ -196,7 +197,7 @@ def _sequence_dense_running(P, Q, modulus, count, term_guard, dense_cells):
     dict route, starting at the last dense power.
     """
     nvars = P.nvars
-    plo, phi = _bounds(P.terms, nvars)
+    plo, phi = pbounds
     cur, lo = _to_dense(Q)
     out = [_dense_ct(cur, lo)]
     while len(out) < count:
@@ -207,7 +208,7 @@ def _sequence_dense_running(P, Q, modulus, count, term_guard, dense_cells):
             rest = _dict_run(dict(P.terms), _dense_terms(cur, lo), nvars,
                              modulus, count - len(out) + 1, term_guard)
             return out + rest[1:]
-        cur, lo = _shift_add_mul(cur, lo, P.terms, modulus, nvars)
+        cur, lo = _shift_add_mul(cur, lo, P.terms, pbounds, modulus)
         if np.count_nonzero(cur) > term_guard:
             raise ResourceLimitError(
                 "oracle product exceeds %d terms" % term_guard
@@ -216,19 +217,19 @@ def _sequence_dense_running(P, Q, modulus, count, term_guard, dense_cells):
     return out
 
 
-def _halving_plan(P, Q, count, dense_cells):
-    """Array shapes for the pairing route, or None if it would not fit."""
-    plo, phi = _bounds(P.terms, P.nvars)
-    qlo, qhi = _bounds(Q.terms, Q.nvars)
+def _halving_fits(pbounds, qbounds, count, dense_cells):
+    """Whether the pairing route's arrays fit ``dense_cells``."""
+    (plo, phi), (qlo, qhi) = pbounds, qbounds
     half = (count - 1 + 1) // 2  # largest retained power of P
     cells = 1
-    for i in range(P.nvars):
+    for i in range(len(plo)):
         cells *= (phi[i] - plo[i]) * (half + 1) + (qhi[i] - qlo[i]) + 1
-    return half if cells <= dense_cells else None
+    return cells <= dense_cells
 
 
-def _shift_add_mul(arr, lo, terms, modulus, nvars):
-    tlo, thi = _bounds(terms, nvars)
+def _shift_add_mul(arr, lo, terms, bounds, modulus):
+    nvars = len(lo)
+    tlo, thi = bounds
     out = np.zeros(
         [arr.shape[i] + thi[i] - tlo[i] for i in range(nvars)], dtype=np.int64
     )
@@ -257,7 +258,7 @@ def _corr_at_zero(a, alo, b, blo, modulus, nvars):
     return int((sa * sb % modulus).sum() % modulus)
 
 
-def _sequence_dense_halving(P, Q, modulus, count, half):
+def _sequence_dense_halving(P, Q, modulus, count, pbounds, qbounds):
     """ct(P^(2m) Q) = <P^m, P^m Q> and ct(P^(2m+1) Q) = <P^m, P^(m+1) Q>,
     pairing coefficients at opposite exponents, so only powers up to
     about count/2 are ever expanded."""
@@ -270,15 +271,15 @@ def _sequence_dense_halving(P, Q, modulus, count, half):
     alo = [0] * nvars
     out = []
     while len(out) < count:
-        c, clo = _shift_add_mul(a, alo, qterms, modulus, nvars)
+        c, clo = _shift_add_mul(a, alo, qterms, qbounds, modulus)
         out.append(_corr_at_zero(a, alo, c, clo, modulus, nvars))  # n = 2m
         if len(out) >= count:
             break
         if pterms:
-            nxt, nxtlo = _shift_add_mul(a, alo, pterms, modulus, nvars)
+            nxt, nxtlo = _shift_add_mul(a, alo, pterms, pbounds, modulus)
         else:
             nxt, nxtlo = np.zeros((1,) * nvars, dtype=np.int64), [0] * nvars
-        cn, cnlo = _shift_add_mul(nxt, nxtlo, qterms, modulus, nvars)
+        cn, cnlo = _shift_add_mul(nxt, nxtlo, qterms, qbounds, modulus)
         out.append(_corr_at_zero(a, alo, cn, cnlo, modulus, nvars))  # n = 2m+1
         a, alo = nxt, nxtlo
     return out[:count]

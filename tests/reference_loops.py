@@ -5,6 +5,8 @@ and dfao.build_reverse ran before they were rebuilt on closure.close,
 and those that the lazy engine runs and the letter stream ran before
 they were rebuilt on closure.Interner.step.  Each interns one state at
 a time under a dict key; tests diff the vectorized walks against them.
+``section_poly`` is the per-cell loop that DenseChain.section_poly ran
+before it read the nonzeros in one pass.
 """
 
 from collections import deque
@@ -262,3 +264,17 @@ def prefix(red, n):
                 return out
             out.append(per_residue[k][q])
     return out
+
+
+def section_poly(chain, k):
+    """DenseChain.section_poly by one Python step per nonzero cell."""
+    starts = [(-chain.offset[i]) % k for i in range(chain.nvars)]
+    view = chain.arr[tuple(slice(starts[i], None, k) for i in range(chain.nvars))]
+    terms = {}
+    for idx in zip(*np.nonzero(view)):
+        e = tuple(
+            (int(idx[i]) * k + starts[i] + chain.offset[i]) // k
+            for i in range(chain.nvars)
+        )
+        terms[e] = int(view[idx])
+    return LaurentPoly(chain.nvars, terms, chain.mod)

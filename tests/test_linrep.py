@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -449,6 +450,34 @@ def _sparse_cases(draw):
     return P, Q, p, a, ns + [0, 1, p**a + 1]
 
 
+def _assert_layouts_match(g, d):
+    """The column and row layouts of g hold exactly the nonzeros of the
+    dense matrix d: every array, its dtype and its read-only flag."""
+    assert isinstance(g, SparseDigitMap) and g.dtype == d.dtype
+    for layout, m in ((g._csc, d.T), (g._csr, d)):
+        majors, minors = np.nonzero(m)
+        counts = np.bincount(majors, minlength=len(m))
+        at = np.flatnonzero(counts)
+        want = (at, (np.cumsum(counts) - counts)[at], minors, m[majors, minors])
+        for got, w in zip(layout, want):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+            assert not got.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_cases())
+def test_sparse_map_layouts_match_dense(case):
+    # maps built from the nonzeros of P~^k against the strided gather
+    P, Q, p, a, _ = case
+    dense = build_reduction(P, Q, p, a).tilde_rep.all_gammas()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linrep, "_SPARSE_WINDOW", 0)
+        sparse = build_reduction(P, Q, p, a).tilde_rep.all_gammas()
+    for g, d in zip(sparse, dense):
+        assert isinstance(d, np.ndarray)
+        _assert_layouts_match(g, d)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_sparse_cases())
 def test_sparse_maps_match_dense(case):
@@ -484,6 +513,7 @@ def test_sparse_map_without_entries(monkeypatch):
     with pytest.raises(ValueError):
         np.ones(2) @ g
     assert g.tobytes() == rep.gamma(1).tobytes()
+    _assert_layouts_match(g, np.zeros((1, 1)))
     assert [rep.eval_term(n) for n in range(5)] == [1, 0, 0, 0, 0]  # ct(x^n)
 
 
@@ -526,6 +556,7 @@ def test_sparse_maps_on_the_int64_route(monkeypatch):
         g = rep.gamma(k)
         assert isinstance(g, SparseDigitMap) and g.dtype == np.int64
         assert np.asarray(g).tobytes() == d.tobytes()
+        _assert_layouts_match(g, d)
         assert np.array_equal(x @ g, x @ d) and np.array_equal(g @ x, d @ x)
     # a three-entry window whose sums of products near 3 * 2^60 stay exact
     q, Q3 = 1000000007, parse_poly("x^-1 + x")
@@ -540,7 +571,31 @@ def test_sparse_maps_on_the_int64_route(monkeypatch):
         g, d = rep3.gamma(k), dense3.gamma(k)
         assert isinstance(g, SparseDigitMap) and g.dtype == d.dtype == np.int64
         assert isinstance(d, np.ndarray)
+        _assert_layouts_match(g, d)
         assert np.array_equal(x @ g, x @ d) and np.array_equal(g @ x.T, d @ x.T)
+
+
+def test_digit_map_keys_fit_int64_for_every_accepted_window():
+    # the widest window LinRep accepts, at the largest modulus it accepts
+    # there: n (q - 1)^2 < 2^62 for n = 4999
+    m = (linrep.DEFAULT_WINDOW_CAP - 1) // 2
+    n, P = 2 * m + 1, LaurentPoly(1, {(m + 1,): 1, (-m - 1,): 1})
+    q = math.isqrt((2**62 - 1) // n) + 1
+    assert len(LinRep(P, one, q).index_set) == n
+    with pytest.raises(ResourceLimitError, match="int64"):
+        LinRep(P, one, q + 1)
+    b, c = linrep._key_bits(n, q)
+    assert (b, c) == (13, 25)
+    # the largest key there packs entry (n - 1, n - 1) = q - 1 and unpacks
+    g = SparseDigitMap(np.array([((n - 1 << b | n - 1) << c) + q - 1]), n, q, np.int64)
+    for layout in (g._csc, g._csr):
+        assert [a.tolist() for a in layout] == [[n - 1], [0], [n - 1], [q - 1]]
+    # n^2 q grows with n at the modulus limit, and every window fits
+    for n in range(1, linrep.DEFAULT_WINDOW_CAP + 1):
+        b, c = linrep._key_bits(n, math.isqrt((2**62 - 1) // n) + 1)
+        assert 2 * b + c <= 63
+    with pytest.raises(AssertionError, match="overflow"):
+        linrep._key_bits(n, 2**38)
 
 
 def test_apery_mod_27_digit_maps_are_sparse():

@@ -20,6 +20,11 @@ from ctseq.textio import parse_poly, preset
 one = LaurentPoly.one(1)
 
 
+def _bounds(*polys):
+    """The exponent bounds that sequence hands the dense routes."""
+    return [oracle._bounds(f.terms, f.nvars) for f in polys]
+
+
 def test_catalan_mod9():
     P, Q = preset("catalan")
     assert ct_pow_mod(P, Q, 4, 9) == 5  # the fifth Catalan number is 14
@@ -83,7 +88,7 @@ def test_dense_halving_matches_dicts():
             Q = random_poly(rng, nvars=nvars, degree_max=1, nonzero=False)
             mod = rng.choice([4, 9, 8, 27])
             Pm, Qm = P.with_modulus(mod), Q.with_modulus(mod)
-            fast = _sequence_dense_halving(Pm, Qm, mod, 25, half=12)
+            fast = _sequence_dense_halving(Pm, Qm, mod, 25, *_bounds(Pm, Qm))
             slow = _sequence_dicts(Pm, Qm, mod, 25, term_guard=10**6)
             assert fast == slow
 
@@ -94,7 +99,7 @@ def test_halving_handles_sparse_support():
     Q = parse_poly("x*y + 1")
     mod = 9
     fast = _sequence_dense_halving(P.with_modulus(mod), Q.with_modulus(mod),
-                                   mod, 20, half=10)
+                                   mod, 20, *_bounds(P, Q))
     slow = _sequence_dicts(P.with_modulus(mod), Q.with_modulus(mod), mod, 20,
                            term_guard=10**6)
     assert fast == slow
@@ -169,7 +174,8 @@ def test_dense_running_matches_dicts(data):
     cells = data.draw(st.sampled_from([1, 30, 400, 5000, 2**25]))
     Pm, Qm = P.with_modulus(mod), Q.with_modulus(mod)
     slow = _sequence_dicts(Pm, Qm, mod, count, term_guard=10**6)
-    assert _sequence_dense_running(Pm, Qm, mod, count, 10**6, cells) == slow
+    assert _sequence_dense_running(Pm, Qm, mod, count, 10**6, cells,
+                                   *_bounds(Pm)) == slow
     assert sequence(P, Q, mod, count, dense_cells=cells) == slow
 
 
@@ -177,10 +183,10 @@ def test_dense_running_guard_counts_nonzeros():
     P, Q = preset("apery")
     Pm, Qm = P.with_modulus(4), Q.with_modulus(4)
     want = _sequence_dicts(Pm, Qm, 4, 8, term_guard=10**6)
-    assert _sequence_dense_running(Pm, Qm, 4, 8, 10**6, 2**25) == want
+    assert _sequence_dense_running(Pm, Qm, 4, 8, 10**6, 2**25, *_bounds(Pm)) == want
     # P^7 has at most 15^3 cells; a guard below its nonzeros refuses
     with pytest.raises(ResourceLimitError, match="exceeds 100 terms"):
-        _sequence_dense_running(Pm, Qm, 4, 8, 100, 2**25)
+        _sequence_dense_running(Pm, Qm, 4, 8, 100, 2**25, *_bounds(Pm))
 
 
 def test_apery_oracle_refusal_is_prompt():

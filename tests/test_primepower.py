@@ -3,8 +3,12 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_loops as ref
 from ctseq import oracle, primepower
+from ctseq._dense import DenseChain
 from ctseq.errors import ResourceLimitError, RingMismatchError
 from ctseq.laurent import LaurentPoly
 from ctseq.linrep import LinRep
@@ -221,3 +225,32 @@ def test_letter_stream_threads_share_one_stream():
                 assert values == want[:5000 + 2000 * i], (trial, i)
     finally:
         sys.setswitchinterval(interval)
+
+
+@st.composite
+def _chains(draw):
+    r = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-(4 - r), 4 - r)] * r)
+    coeffs = st.integers(-30, 30)
+    P = LaurentPoly(r, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=5)))
+    start = LaurentPoly(r, draw(st.dictionaries(exps, coeffs, max_size=4)))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    return P, start, p, p ** draw(st.integers(1, 3)), draw(st.integers(0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains())
+def test_chain_sections_match_per_cell_loop(case):
+    # every value of the chain is start * P^s, and each section of it,
+    # terms in order, is what the per-cell loop reads off the same array
+    P, start, p, mod, steps = case
+    chain = DenseChain(start, P, steps, mod)
+    want = start.with_modulus(mod)
+    for s in range(steps + 1):
+        if s:
+            chain.step()
+            want = want.mul(P.with_modulus(mod))
+        for k in (1, p, p * p):
+            got = chain.section_poly(k)
+            assert got == want.lambda_k(k), (s, k)
+            assert list(got.terms.items()) == list(ref.section_poly(chain, k).terms.items())
