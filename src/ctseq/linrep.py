@@ -228,7 +228,7 @@ class SparseDigitMap:
         np.subtract(rows, shift, out=shift)
         shift *= ((1 << bits[0]) - 1) << bits[1]
         keys += shift
-        del shift
+        del shift  # the second layout sets the peak memory of a build
         self._csr = _layout(keys, n, bits, dtype)
 
     @property

@@ -591,8 +591,8 @@ def test_digit_map_keys_fit_int64_for_every_accepted_window():
     for layout in (g._csc, g._csr):
         assert [a.tolist() for a in layout] == [[n - 1], [0], [n - 1], [q - 1]]
     # n^2 q grows with n at the modulus limit, and every window fits
-    for n in range(1, linrep.DEFAULT_WINDOW_CAP + 1):
-        b, c = linrep._key_bits(n, math.isqrt((2**62 - 1) // n) + 1)
+    for size in range(1, linrep.DEFAULT_WINDOW_CAP + 1):
+        b, c = linrep._key_bits(size, math.isqrt((2**62 - 1) // size) + 1)
         assert 2 * b + c <= 63
     with pytest.raises(AssertionError, match="overflow"):
         linrep._key_bits(n, 2**38)

@@ -98,10 +98,9 @@ def test_halving_handles_sparse_support():
     P = parse_poly("x^2*y^-1 + x^-2*y")
     Q = parse_poly("x*y + 1")
     mod = 9
-    fast = _sequence_dense_halving(P.with_modulus(mod), Q.with_modulus(mod),
-                                   mod, 20, *_bounds(P, Q))
-    slow = _sequence_dicts(P.with_modulus(mod), Q.with_modulus(mod), mod, 20,
-                           term_guard=10**6)
+    Pm, Qm = P.with_modulus(mod), Q.with_modulus(mod)
+    fast = _sequence_dense_halving(Pm, Qm, mod, 20, *_bounds(Pm, Qm))
+    slow = _sequence_dicts(Pm, Qm, mod, 20, term_guard=10**6)
     assert fast == slow
 
 
