@@ -23,7 +23,7 @@ from .dfao import Dfao, build_forward, build_reverse
 from .errors import CtseqError, ParseError, ResourceLimitError, RingMismatchError
 from .laurent import LaurentPoly
 from .linrep import IndexSet, LinRep, StateVector, build_index
-from .morphism import MorphicStream, sigma_image
+from .morphism import MorphicStream
 from .primepower import TildeReduction, build_reduction, reduce_p_tilde
 from .textio import PRESETS, format_poly, parse_poly, preset
 
@@ -58,7 +58,6 @@ __all__ = [
     "preset",
     "reachable_states",
     "reduce_p_tilde",
-    "sigma_image",
     "verdict",
     "zero_frequency",
     "zero_witness",

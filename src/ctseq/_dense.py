@@ -31,14 +31,13 @@ def _box(exponents, nvars):
 class DenseChain:
     """Iterates cur, cur*P, cur*P^2, ... as dense integer arrays.
 
-    ``count`` is the number of multiplications done so far and ``steps``
-    the number the size guard was checked for (see ``reserve``).
+    ``steps`` is the number of multiplications the size guard was
+    checked for (see ``reserve``).
     """
 
     def __init__(self, start, P, steps, mod):
         self.nvars = start.nvars
         self.mod = mod
-        self.count = 0
         pterms = sorted(P.with_modulus(mod).terms.items())
         self.lo_p, self.hi_p = _box((e for e, _ in pterms), self.nvars)
         # where each term of P lands in a product, grouped by coefficient
@@ -89,7 +88,6 @@ class DenseChain:
         out %= self.mod
         self.arr = out
         self.offset = [o + lo for o, lo in zip(self.offset, self.lo_p)]
-        self.count += 1
 
     def section_poly(self, k):
         """section_k of the current value (keep exponents divisible by k);

@@ -3,10 +3,9 @@
 Every route returns the first N values of ct(P^n Q) mod p^a.  They are
 deliberately different code paths over the same mathematics, so the
 test suite can demand exact agreement between all of them and the
-brute-force oracle.  The one exception: for a > 1, ``morphism`` and
-``primepower`` share one route, the letter stream of the stable base
-read through TildeReduction.prefix.  Only for a = 1 does ``morphism``
-build its own stream on P.
+brute-force oracle.  The one exception: ``morphism`` is an alias of
+``primepower``, one route, the letter stream of the stable base read
+through TildeReduction.prefix.
 
 For N terms ``linrep`` takes one product per digit value and position
 per 256 indices, ``dfao`` and ``dfao-reverse`` one closure.Interner.step
@@ -20,8 +19,7 @@ import numpy as np
 
 from . import oracle
 from .closure import Interner
-from .linrep import LinRep, digits_lsd
-from .morphism import MorphicStream
+from .linrep import digits_lsd
 from .primepower import build_reduction
 
 ENGINE_NAMES = ("linrep", "dfao", "dfao-reverse", "morphism", "primepower", "oracle")
@@ -37,12 +35,7 @@ def sequence(P, Q, p, a, count, engine="linrep", red=None):
         red = build_reduction(P, Q, p, a)
     if engine == "linrep":
         return red.terms(range(count))
-    if engine == "primepower":
-        return red.prefix(count)
-    if engine == "morphism":
-        if a == 1:
-            rep = LinRep(P, Q, p, 1)
-            return MorphicStream(rep).coded_prefix(rep.row_Q, count)
+    if engine in ("morphism", "primepower"):
         return red.prefix(count)
     if engine == "dfao":
         return _forward_runs(red, count)

@@ -80,7 +80,10 @@ class LaurentPoly:
             )
 
     def with_modulus(self, modulus):
-        """The same polynomial with coefficients reduced mod ``modulus``."""
+        """The same polynomial with coefficients reduced mod ``modulus``;
+        itself when it already carries that modulus."""
+        if modulus == self.modulus:
+            return self
         return LaurentPoly(self.nvars, self.terms, modulus)
 
     def lift(self):

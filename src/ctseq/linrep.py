@@ -529,20 +529,13 @@ class LinRep:
         return self.eval_digits(digits_lsd(n, self.p))
 
     def settle_exponent(self):
-        """Least s >= 1 with gamma(0)^s equal to the constant-index unit."""
-        index = self.index_set
-        target = np.zeros((len(index), len(index)), dtype=np.int64)
-        target[index.constant_index, index.constant_index] = 1
-        bound = len(digits_lsd(max(index.m, 1), self.p))
-        g0 = self.gamma(0)
-        power = np.asarray(g0)
-        for s in range(1, bound + 1):
-            if np.array_equal(power, target):
-                return s
-            power = power @ g0 % self.modulus
-        raise AssertionError(
-            "gamma(0)^s did not settle within the provable bound %d" % bound
-        )
+        """Least s >= 1 with gamma(0)^s equal to the constant-index unit.
+
+        gamma(0) sends e_j to e_(p j), or to zero once p j leaves the
+        window [-m, m]^r, so its s-th power is that unit exactly when
+        p^s > m.
+        """
+        return len(digits_lsd(max(self.index_set.m, 1), self.p))
 
     def __repr__(self):
         return "<LinRep p=%d a=%d window=%d>" % (self.p, self.a, len(self.index_set))

@@ -24,22 +24,6 @@ from .linrep import StateVector
 DEFAULT_PREFIX_CAP = 10**8
 
 
-def sigma_image(rep, u):
-    """The p-letter image of one window vector, as StateVectors."""
-    vec = np.asarray(
-        u.entries if isinstance(u, StateVector) else u, dtype=np.int64
-    )
-    if vec.shape != (len(rep.index_set),):
-        raise ValueError(
-            "vector length %d does not match window size %d"
-            % (vec.size, len(rep.index_set))
-        )
-    c = rep.index_set.constant_index
-    return [
-        StateVector(g @ vec % rep.modulus, c) for g in rep.all_gammas()
-    ]
-
-
 class MorphicStream:
     """A growing prefix of the fixed point, with numbered letters.
 

@@ -17,17 +17,9 @@ with indexed names is rejected.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
 from .errors import ParseError
 from .laurent import LaurentPoly
-
-
-class PolySource(NamedTuple):
-    """An accepted expression together with the variables it mentions."""
-
-    text: str
-    variables: tuple
 
 
 # name -> (P, Q) expression pair
@@ -241,12 +233,6 @@ class _Parser:
 def parse_poly(text):
     """Parse an expression into an exact integer Laurent polynomial."""
     return _Parser(text).parse()
-
-
-def parse_source(text):
-    """Parse and also report the variable names in axis order."""
-    poly = parse_poly(text)
-    return PolySource(text, tuple(variable_names(poly.nvars)))
 
 
 # ---------------------------------------------------------------------------

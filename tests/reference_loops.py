@@ -6,7 +6,8 @@ and those that the lazy engine runs and the letter stream ran before
 they were rebuilt on closure.Interner.step.  Each interns one state at
 a time under a dict key; tests diff the vectorized walks against them.
 ``section_poly`` is the per-cell loop that DenseChain.section_poly ran
-before it read the nonzeros in one pass.
+before it read the nonzeros in one pass, and ``settle_exponent`` the
+matrix-power loop that LinRep.settle_exponent ran before its closed form.
 """
 
 from collections import deque
@@ -278,3 +279,20 @@ def section_poly(chain, k):
         )
         terms[e] = int(view[idx])
     return LaurentPoly(chain.nvars, terms, chain.mod)
+
+
+def settle_exponent(rep):
+    """LinRep.settle_exponent by powering gamma(0) until it settles."""
+    index = rep.index_set
+    target = np.zeros((len(index), len(index)), dtype=np.int64)
+    target[index.constant_index, index.constant_index] = 1
+    bound = len(digits_lsd(max(index.m, 1), rep.p))
+    g0 = rep.gamma(0)
+    power = np.asarray(g0)
+    for s in range(1, bound + 1):
+        if np.array_equal(power, target):
+            return s
+        power = power @ g0 % rep.modulus
+    raise AssertionError(
+        "gamma(0)^s did not settle within the provable bound %d" % bound
+    )

@@ -40,6 +40,22 @@ def test_mul_identity():
     assert a * LaurentPoly.one(1) == a
 
 
+def test_with_modulus_returns_itself_when_the_modulus_matches():
+    exact = x("-4*x^-2 + 7 + 30*x*y")
+    assert exact.with_modulus(None) is exact
+    mod27 = exact.with_modulus(27)
+    assert mod27 is not exact
+    assert mod27.with_modulus(27) is mod27
+    for src, modulus in ((exact, 9), (mod27, 9), (mod27, None)):
+        copy = src.with_modulus(modulus)
+        fresh = LaurentPoly(src.nvars, dict(src.terms), modulus)
+        assert copy is not src
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert copy.modulus == modulus
+        if modulus is not None:
+            assert all(0 < c < modulus for c in copy.terms.values())
+
+
 def test_mul_mod4():
     # full square is x^-2 + 4x^-1 + 6 + 4x + x^2, reduced mod 4
     a = x("x^-1 + 2 + x").with_modulus(4)

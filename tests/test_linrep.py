@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
 from ctseq import engines, linrep, oracle
+from ctseq.classify import random_univariate
 from ctseq.dfao import build_forward, build_reverse
 from ctseq.errors import ResourceLimitError, RingMismatchError
 from ctseq.laurent import LaurentPoly
@@ -20,7 +22,7 @@ from ctseq.linrep import (
     digits_lsd,
 )
 from ctseq.primepower import TildeReduction, build_reduction
-from ctseq.textio import parse_poly, preset
+from ctseq.textio import format_poly, parse_poly, preset
 
 one = LaurentPoly.one(1)
 
@@ -138,8 +140,29 @@ def test_settle_exponent():
         assert np.array_equal(np.linalg.matrix_power(g0, s + extra) % 2, target)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_settle_exponent_is_the_least(p):
+    # Q = x^e moves the window radius across the powers of p
+    rng = random.Random(16 + p)
+    cases = [preset(name) for name in
+             ("pascal", "catalan", "motzkin", "trinomial", "apery")]
+    cases += [(random_univariate(rng, 4, 5),
+               LaurentPoly.monomial(1, (rng.randint(-30, 30),)))
+              for _ in range(40)]
+    for P, Q in cases:
+        rep = LinRep(P, Q, p)
+        s = rep.settle_exponent()
+        assert s == ref.settle_exponent(rep), (format_poly(P), format_poly(Q))
+        if s > 1:
+            c = rep.index_set.constant_index
+            g0 = np.asarray(rep.gamma(0), dtype=np.int64)
+            power = np.linalg.matrix_power(g0, s - 1) % p
+            power[c, c] -= 1
+            assert power.any(), (format_poly(P), format_poly(Q))
+
+
 def test_digit_step_identity_presets():
-    for name in ("pascal", "catalan", "motzkin"):
+    for name in ("pascal", "catalan", "motzkin", "trinomial"):
         P, Q = preset(name)
         for p in (2, 3):
             rep = LinRep(P, Q, p)
@@ -408,6 +431,17 @@ def test_every_engine_refuses_negative_count(engine):
     with pytest.raises(ValueError, match="count must be >= 0"):
         engines.sequence(P, Q, 3, 2, -3, engine)
     assert engines.sequence(P, Q, 3, 2, 0, engine) == []
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_morphism_reads_the_reductions_stream(a):
+    P, Q = preset("motzkin")
+    p, n = 3, 300
+    red = build_reduction(P, Q, p, a)
+    got = engines.sequence(P, Q, p, a, n, "morphism", red=red)
+    assert len(red.stream()) >= math.ceil(n / red.block_count)
+    assert got == engines.sequence(P, Q, p, a, n, "primepower", red=red)
+    assert got == oracle.sequence(P, Q, p**a, n)
 
 
 def _all_outputs(P, Q, p, a, ns):

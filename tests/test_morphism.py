@@ -1,47 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from ctseq import morphism, oracle
 from ctseq.laurent import LaurentPoly
 from ctseq.linrep import LinRep
-from ctseq.morphism import MorphicStream, sigma_image
+from ctseq.morphism import MorphicStream
 from ctseq.textio import parse_poly, preset
 
 one = LaurentPoly.one(1)
-
-
-def test_sigma_image_pascal():
-    P, _ = preset("pascal")
-    rep = LinRep(P, one, 2)
-    images = sigma_image(rep, rep.state_vector(0))
-    assert [u.entries for u in images] == [(1,), (0,)]
-
-
-def test_sigma_image_blocks():
-    P, _ = preset("trinomial")
-    rep = LinRep(P, one, 3)
-    rng = random.Random(1)
-    for _ in range(12):
-        j = rng.randrange(50)
-        images = sigma_image(rep, rep.state_vector(j))
-        for k in range(3):
-            assert images[k].entries == rep.state_vector(3 * j + k).entries
-
-
-def test_sigma_first_letter_fixed():
-    P, Q = preset("motzkin")
-    rep = LinRep(P, Q, 3)
-    assert sigma_image(rep, rep.state_vector(0))[0].entries == tuple(
-        int(x) for x in rep.v0
-    )
-
-
-def test_sigma_dimension_mismatch():
-    P, Q = preset("motzkin")
-    rep = LinRep(P, Q, 3)
-    with pytest.raises(ValueError):
-        sigma_image(rep, (1, 0))
 
 
 def test_extend_trinomial_mod2():
@@ -68,7 +36,8 @@ def test_prefix_power_block_is_iterated_image():
     # applying the morphism letterwise to a prefix of length L gives length pL
     expanded = []
     for letter in stream.prefix[:9]:
-        expanded.extend(u.entries for u in sigma_image(rep, letters[letter]))
+        u = np.array(letters[letter])
+        expanded.extend(tuple((g @ u % rep.modulus).tolist()) for g in rep.all_gammas())
     assert expanded == [letters[i] for i in stream.prefix[:27]]
 
 

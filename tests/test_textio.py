@@ -8,7 +8,6 @@ from ctseq.textio import (
     PRESETS,
     format_poly,
     parse_poly,
-    parse_source,
     preset,
     verdict_to_json,
 )
@@ -71,11 +70,6 @@ def test_format_four_variables():
     a = parse_poly("x1*x4 - 2*x2^-1")
     assert format_poly(a) == "-2*x2^-1 + x1*x4"
     assert parse_poly(format_poly(a)) == a
-
-
-def test_parse_source_names():
-    src = parse_source("z + x")
-    assert src.variables == ("x", "y", "z")
 
 
 def _random_poly(rng):
