@@ -70,10 +70,10 @@ def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
     in increasing order of that n and the first state whose constant
     entry vanishes mod p yields the minimal witness index.
     """
-    p = rep.p
-    states, table, parent, digit = close(rep.v0, rep.all_gammas(), rep.modulus,
-                                         False, state_cap, "reachable set")
-    units = states[:, rep.index_set.constant_index] % p != 0
+    p, module = rep.p, rep.reach_module()
+    states, table, parent, digit = close(module.start, module, False, state_cap,
+                                         "reachable set")
+    units = module.constants(states) % p != 0
     zero = np.flatnonzero(~units[1:])
     witness = _least_index(parent, digit, int(zero[0]) + 1, p) if zero.size else None
     # the V(n) with n > 0: the states reached along a walk with a nonzero digit
@@ -85,15 +85,16 @@ def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
         fresh[table[frontier]] = True
         frontier = np.flatnonzero(fresh & ~marked)
         marked |= fresh
-    return ReachReport(states, witness is not None, witness,
+    return ReachReport(module.vectors(states), witness is not None, witness,
                        bool(units[marked].any()))
 
 
 def _verify_witness(P, p, rep, n0):
     """Belt-and-braces checks on a BFS witness (skipped when huge): every
     earlier term is nonzero mod p and term n0 is zero, on terms from
-    LinRep.eval_many, which shares no code with the closure, and up to
-    n0 = 2000 on the brute-force oracle as well."""
+    LinRep.eval_many, which multiplies coding rows instead of interning
+    states, and up to n0 = 2000 on the brute-force oracle, which shares
+    no code with either."""
     if n0 is None or n0 > WITNESS_VERIFY_BUDGET:
         return
     unit, terms = rep.row_Q, []
@@ -123,11 +124,11 @@ def zero_witness(P, p, state_cap=DEFAULT_STATE_CAP):
     oracle prefix as well.
     """
     rep = LinRep(P, LaurentPoly.one(P.nvars), p, 1)
-    walk = Interner(rep.v0, rep.all_gammas(), rep.modulus, False, state_cap,
-                    "reachable set")
-    c, witness = rep.index_set.constant_index, None
+    module = rep.reach_module()
+    walk = Interner(module.start, module, False, state_cap, "reachable set")
+    witness = None
     for first in walk.blocks():
-        zero = np.flatnonzero(walk.states[first:walk.count, c] % p == 0)
+        zero = np.flatnonzero(module.constants(walk.states[first:walk.count]) % p == 0)
         if zero.size:
             witness = _least_index(*walk.links(), first + int(zero[0]), p)
             break

@@ -2,7 +2,10 @@
 
 Verdicts, automata, the lazy engine runs and the letter stream walk
 vectors under v -> v @ gamma(k) (forward) or v -> gamma(k) @ v
-(reverse), and all number them through one ``Interner``.
+(reverse), and all number them through one ``Interner``.  A walk runs
+in the coordinates of a reduced.Module: reverse walks on the reach
+module of their LinRep, where a state is its canonical coordinates
+under y -> C(k) @ y, and forward walks on the whole window.
 ``Interner.blocks`` walks a closure a block of the queue at a time and
 can be stopped after any block; ``close`` runs it to the end.
 ``Interner.step`` computes only the transitions a lazy walk asks for.
@@ -36,32 +39,35 @@ def _keys(rows, modulus, store):
 class Interner:
     """The vectors met so far, numbered in the order they were met.
 
-    ``starts`` (a vector or a stack, ids in ``self.starts``) and the maps
-    hold residues in their LinRep's dtype, which keeps products exact.
-    ``states[:count]`` holds the vectors in the smallest unsigned dtype
+    ``starts`` (coordinates, a vector or a stack, ids in ``self.starts``)
+    and the module's maps hold residues in their LinRep's dtype, which
+    keeps products exact; every product is made canonical by
+    ``module.reduce``, so equal vectors get equal keys.
+    ``states[:count]`` holds the coordinates in the smallest unsigned dtype
     holding a residue, ``table[s, k]`` the id of s's image under digit k
     (-1 while unknown), and the arrays in ``origin`` hold, in id order,
     parent * p + digit of the step that first reached each (-p: a start).
     Growth replaces ``states``, so an id below ``count`` finds its row.
     """
 
-    def __init__(self, starts, gammas, modulus, forward, state_cap=np.inf,
+    def __init__(self, starts, module, forward, state_cap=np.inf,
                  what="closure"):
         starts = np.atleast_2d(starts)
-        self.gammas, self.modulus, self.forward = gammas, modulus, forward
+        self.maps, self.reduce, self.forward = module.maps, module.reduce, forward
+        self.modulus = modulus = module.modulus
         self.state_cap, self.what, self.dtype = state_cap, what, starts.dtype
         self.store = np.min_scalar_type(modulus - 1)
         size = max(1, min(state_cap, 64))
         self.states = np.empty((size, starts.shape[1]), dtype=self.store)
         self.states[0] = starts[0]
-        self.table = np.full((size, len(gammas)), -1)
+        self.table = np.full((size, len(self.maps)), -1)
         self.seen = _keys(self.states[:1].astype(np.int64), modulus, self.store)
         self.seen_ids = np.zeros(1, dtype=np.int64)
-        self.origin, self.count = [np.array([-len(gammas)])], 1
+        p = len(self.maps)
+        self.origin, self.count = [np.array([-p])], 1
         self.starts = np.zeros(len(starts), dtype=np.int64)
         if len(starts) > 1:
-            self.starts = self.intern(starts.astype(np.int64),
-                                      np.full(len(starts), -len(gammas)))
+            self.starts = self.intern(starts.astype(np.int64), np.full(len(starts), -p))
 
     def intern(self, cand, origin):
         """The id of every row of ``cand`` (int64 residues), numbering
@@ -91,7 +97,7 @@ class Interner:
         if count + added > size:
             grown = min(self.state_cap, max(2 * size, count + added))
             self.states = np.resize(self.states, (grown, self.states.shape[1]))
-            self.table = np.resize(self.table, (grown, len(self.gammas)))
+            self.table = np.resize(self.table, (grown, len(self.maps)))
             self.table[size:] = -1
         at = first[by_first]
         self.states[count:count + added] = cand[at]
@@ -106,16 +112,16 @@ class Interner:
         out = self.table[ids, digits]
         miss = np.flatnonzero(out < 0)
         if miss.size:
-            pairs, back = np.unique(ids[miss] * len(self.gammas) + digits[miss],
+            pairs, back = np.unique(ids[miss] * len(self.maps) + digits[miss],
                                     return_inverse=True)
-            parents, ks = np.divmod(pairs, len(self.gammas))
+            parents, ks = np.divmod(pairs, len(self.maps))
             cand = np.empty((len(pairs), self.states.shape[1]), dtype=np.int64)
             # the digits present; np.unique without return flags imports numpy.ma
             for k in np.flatnonzero(np.bincount(ks)):
                 sel = np.flatnonzero(ks == k)
-                rows, g = self.states[parents[sel]].astype(self.dtype), self.gammas[k]
+                rows, g = self.states[parents[sel]].astype(self.dtype), self.maps[k]
                 cand[sel] = rows @ g if self.forward else (g @ rows.T).T
-            cand %= self.modulus
+            self.reduce(cand)
             found = self.intern(cand, pairs)
             self.table[parents, ks] = found
             out[miss] = found[back]
@@ -127,17 +133,16 @@ class Interner:
         caller may stop at any block.  A block's candidates come in
         (parent, digit) order, which numbers states as the
         one-state-at-a-time FIFO walk does."""
-        p, width = len(self.gammas), self.states.shape[1]
+        p, width = len(self.maps), self.states.shape[1]
         done = 0
         while done < self.count:
             lo, hi = _BLOCK_ENTRIES
             rows = max(1, min(max(lo, self.count * p * width // 8), hi) // (p * width))
             block = self.states[done:min(self.count, done + rows)].astype(self.dtype)
             cand = np.empty((len(block), p, width), dtype=np.int64)
-            for k, g in enumerate(self.gammas):
+            for k, g in enumerate(self.maps):
                 cand[:, k] = block @ g if self.forward else (g @ block.T).T
-            cand = cand.reshape(-1, width)
-            cand %= self.modulus
+            cand = self.reduce(cand.reshape(-1, width))
             first = self.count
             ids = self.intern(cand, np.arange(done * p, done * p + len(cand)))
             self.table[done:done + len(block)] = ids.reshape(-1, p)
@@ -147,17 +152,18 @@ class Interner:
     def links(self):
         """(parent, digit): state s > 0 was first reached from
         ``parent[s]`` by digit ``digit[s]``."""
-        return np.divmod(np.concatenate(self.origin), len(self.gammas))
+        return np.divmod(np.concatenate(self.origin), len(self.maps))
 
 
-def close(start, gammas, modulus, forward, state_cap, what):
-    """(states, transitions, parent, digit) of the closure of ``start``.
+def close(start, module, forward, state_cap, what):
+    """(states, transitions, parent, digit) of the closure of ``start``,
+    the states in the coordinates of ``module``.
 
     ``forward`` applies ``rows @ g``, otherwise ``(g @ rows.T).T``, so
     SparseDigitMap windows work through their 2-D products.  Over
     ``state_cap`` states raise ResourceLimitError.
     """
-    walk = Interner(start, gammas, modulus, forward, state_cap, what)
+    walk = Interner(start, module, forward, state_cap, what)
     for _ in walk.blocks():
         pass
     return (walk.states[:walk.count], walk.table[:walk.count]) + walk.links()

@@ -16,6 +16,7 @@ import numpy as np
 from .closure import close
 from .laurent import LaurentPoly
 from .linrep import LinRep, digits_lsd
+from .reduced import Module
 
 DEFAULT_STATE_CAP = 50_000
 
@@ -33,7 +34,7 @@ class Dfao:
         "transitions",
         "outputs",
         "_labels",
-        "state_vectors",
+        "_vectors",
     )
 
     def __init__(self, p, modulus, direction, transitions, outputs,
@@ -45,7 +46,7 @@ class Dfao:
         self.transitions = transitions
         self.outputs = outputs
         self._labels = state_labels
-        self.state_vectors = state_vectors
+        self._vectors = state_vectors
 
     @property
     def state_labels(self):
@@ -53,6 +54,14 @@ class Dfao:
         if callable(self._labels):
             self._labels = self._labels()
         return self._labels
+
+    @property
+    def state_vectors(self):
+        """The reverse machine's window vectors, as tuples; a callable
+        passed for them runs on first read."""
+        if callable(self._vectors):
+            self._vectors = self._vectors()
+        return self._vectors
 
     @property
     def state_count(self):
@@ -139,7 +148,7 @@ def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
 
     mod = rep.modulus
     vectors, nvars = rep.index_set.vectors, rep.P.nvars
-    states, table, _, _ = close(rep.row_vector(Q), rep.all_gammas(), mod, True,
+    states, table, _, _ = close(rep.row_vector(Q), Module(rep), True,
                                 state_cap, "forward automaton")
 
     def labels():
@@ -152,14 +161,20 @@ def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
 
 
 def build_reverse(rep, state_cap=DEFAULT_STATE_CAP):
-    """Close {V(0)} under V -> gamma(k).V over all digits k."""
-    states, table, _, _ = close(rep.v0, rep.all_gammas(), rep.modulus, False,
-                                state_cap, "reverse automaton")
-    vecs = list(zip(*states.T.tolist()))
-    return Dfao(rep.p, rep.modulus, "reverse", table.tolist(),
-                states[:, rep.index_set.constant_index].tolist(),
-                lambda: ["(%s)" % ",".join(map(str, v)) for v in vecs],
-                state_vectors=vecs)
+    """Close {V(0)} under V -> gamma(k).V over all digits k, on the
+    reach module; the window vectors are rebuilt when first read."""
+    module = rep.reach_module()
+    states, table, _, _ = close(module.start, module, False, state_cap,
+                                "reverse automaton")
+
+    def vectors():
+        return list(zip(*module.vectors(states).T.tolist()))
+
+    machine = Dfao(rep.p, rep.modulus, "reverse", table.tolist(),
+                   module.constants(states).tolist(),
+                   lambda: ["(%s)" % ",".join(map(str, v)) for v in machine.state_vectors],
+                   state_vectors=vectors)
+    return machine
 
 
 def _power_exponent(modulus, p):

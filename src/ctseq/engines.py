@@ -10,7 +10,11 @@ through TildeReduction.prefix.
 For N terms ``linrep`` takes one product per digit value and position
 per 256 indices, ``dfao`` and ``dfao-reverse`` one closure.Interner.step
 per digit position over all N indices, and ``morphism`` and
-``primepower`` one step per level of the letter stream.
+``primepower`` one step per level of the letter stream.  Every route
+but ``dfao`` runs on the reach module (LinRep.reach_module), whose
+products are d x d for a module of rank d, against |T| x |T| on the
+full window that ``dfao`` walks; the module is built once per LinRep,
+from all digit maps, by the first route that needs it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from . import oracle
 from .closure import Interner
 from .linrep import digits_lsd
 from .primepower import build_reduction
+from .reduced import Module
 
 ENGINE_NAMES = ("linrep", "dfao", "dfao-reverse", "morphism", "primepower", "oracle")
 
@@ -53,7 +58,7 @@ def _forward_runs(red, count):
     significant first; all indices advance together.
     """
     rep = red.tilde_rep
-    walk = Interner(np.stack(red.block_rows), rep.all_gammas(), rep.modulus, True)
+    walk = Interner(np.stack(red.block_rows), Module(rep), True)
     quotients, residues = np.divmod(np.arange(count), red.block_count)
     ids = walk.starts[residues]
     live = np.arange(count)
@@ -65,15 +70,17 @@ def _forward_runs(red, count):
 
 
 def _reverse_runs(red, count):
-    """The reverse automaton, built lazily, digits most significant first;
-    leading zeros pad every index to one length, as gamma(0) fixes V(0).
+    """The reverse automaton, built lazily on the reach module, digits
+    most significant first; leading zeros pad every index to one length,
+    as gamma(0) fixes V(0).
     """
     rep = red.tilde_rep
-    walk = Interner(rep.v0, rep.all_gammas(), rep.modulus, False)
+    module = rep.reach_module()
+    walk = Interner(module.start, module, False)
     quotients, residues = np.divmod(np.arange(count), red.block_count)
     ids = np.zeros(count, dtype=np.int64)
     for j in reversed(range(len(digits_lsd(int(quotients.max(initial=0)), rep.p)))):
         ids = walk.step(ids, quotients // rep.p**j % rep.p)
-    rows = np.stack(red.block_rows).astype(np.int64)
-    codes = walk.states[:walk.count].astype(np.int64) @ rows.T % rep.modulus
+    rho = module.dual(np.stack(red.block_rows).astype(np.int64))
+    codes = walk.states[:walk.count].astype(np.int64) @ rho.T % rep.modulus
     return codes[ids, residues].tolist()

@@ -17,6 +17,7 @@ import threading
 
 import numpy as np
 
+from . import reduced
 from ._dense import DenseChain
 from .errors import ResourceLimitError, RingMismatchError
 from .laurent import LaurentPoly
@@ -289,7 +290,8 @@ class LinRep:
     Windows above _SPARSE_WINDOW entries hold each matrix as a
     SparseDigitMap built from the nonzeros of P^k, which supports the
     same ``@`` products; everywhere else a matrix is a read-only ndarray
-    gathered from P^k in strided passes.
+    gathered from P^k in strided passes.  Terms and state vectors are
+    computed on the reach module (reduced.Module), in its coordinates.
     """
 
     def __init__(self, P, Q, p, a=1, index_set=None):
@@ -323,6 +325,7 @@ class LinRep:
         self._gammas = {}
         # the power chain of P; builds run one at a time under the lock
         self._chain = None
+        self._module = None
         self._lock = threading.Lock()
 
     # -- vectors ---------------------------------------------------------
@@ -468,45 +471,71 @@ class LinRep:
 
     # -- evaluation -----------------------------------------------------------
 
+    def reach_module(self):
+        """The module the V(n) span, in coordinates (a reduced.Module).
+
+        Windows of at most reduced._IDENTITY_WINDOW entries, and primes
+        above the digit cap, keep the identity basis, whose maps are the
+        digit matrices built one digit at a time; wider windows get a
+        Howell basis, built from all digit matrices on first use under
+        the lock, so threads sharing an instance share one module.
+        """
+        module = self._module
+        if module is None:
+            wide = (len(self.index_set) > reduced._IDENTITY_WINDOW
+                    and self.p <= DEFAULT_DIGIT_CAP)
+            if wide:
+                self.all_gammas()  # under the lock the maps are only read
+            with self._lock:
+                if self._module is None:
+                    self._module = reduced.reach(self) if wide else reduced.Module(self)
+                module = self._module
+        return module
+
     def state_array(self, n):
         """V(n) as an array of residues (integral values, see class note)."""
-        v = self.v0
+        module = self.reach_module()
+        y = module.start
         for d in reversed(digits_lsd(n, self.p)):
             # fmod equals % on non-negative values and is faster
-            v = np.fmod(self.gamma(d) @ v, self.modulus)
-        return v
+            y = np.fmod(module.map(d) @ y, self.modulus)
+        return module.vectors(y)
 
     def state_vector(self, n):
         """V(n): entry at window index i is ct(P^n x^i) mod p^a."""
         return StateVector(self.state_array(n), self.index_set.constant_index)
 
     def eval_digits(self, digits, row=None):
-        """row . gamma(d_0) ... gamma(d_t) . V(0) for an explicit digit word.
+        """row . gamma(d_0) ... gamma(d_t) . V(0) for an explicit digit word,
+        computed as rho . C(d_0) ... C(d_t) . y0 on the reach module.
 
         ``row`` holds residues, as the coding rows do.
         """
-        r = self.row_Q if row is None else row
+        module = self.reach_module()
+        r = module.dual(self.row_Q if row is None else row)
         for d in digits:
-            r = np.fmod(r @ self.gamma(d), self.modulus)
-        return int(r[self.index_set.constant_index])
+            r = np.fmod(r @ module.map(d), self.modulus)
+        return int(np.fmod(r @ module.start, self.modulus))
 
     def eval_many(self, quotients, rows):
         """eval_digits(digits_lsd(q, p), row) for every pair, as a list.
 
         One digit position at a time, least significant first, every
         row whose quotient has digit d there takes one product with
-        gamma(d).  A row stops once its quotient is used up; that equals
+        C(d).  A row stops once its quotient is used up; that equals
         padding with zero digits, as gamma(0) fixes V(0), so a zero
         quotient yields row[c].  ``rows`` is an (N, |T|) array of
         residues; quotients must be non-negative and fit in int64.
         """
         q = np.array(quotients, dtype=np.int64)
-        rows = np.array(rows, dtype=self._dtype)
+        rows = np.asarray(rows)
         if q.ndim != 1 or rows.shape != (len(q), len(self.index_set)):
             raise ValueError("need N quotients and an (N, %d) row block"
                              % len(self.index_set))
         if (q < 0).any():
             raise ValueError("indices must be >= 0")
+        module = self.reach_module()
+        rows = np.array(module.dual(rows), dtype=self._dtype)
         p, mod = self.p, self.modulus
         live = np.flatnonzero(q)
         while live.size:
@@ -519,10 +548,10 @@ class LinRep:
                 if stop > start:
                     sel = order[start:stop]
                     # fmod equals % on non-negative values and is faster
-                    rows[sel] = np.fmod(rows[sel] @ self.gamma(k), mod)
+                    rows[sel] = np.fmod(rows[sel] @ module.map(k), mod)
                 start = stop
             live = live[q[live] > 0]
-        return rows[:, self.index_set.constant_index].astype(np.int64).tolist()
+        return np.fmod(rows @ module.start, mod).astype(np.int64).tolist()
 
     def eval_term(self, n):
         """ct(P^n Q) mod p^a (requires the stability hypothesis when a > 1)."""

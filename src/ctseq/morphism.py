@@ -8,7 +8,9 @@ and iterating from V(0) (fixed by gamma(0)) yields the infinite word
 V(0)V(1)V(2)...  Prefixes grow level by level: the letters at [m, pm)
 are the images of those at [m/p, m) under the lazy reverse automaton
 (closure.Interner), so N letters cost O(N) numpy work plus one product
-per distinct (letter, digit) pair ever met.
+per distinct (letter, digit) pair ever met.  Letters are held in the
+coordinates of the reach module (LinRep.reach_module), and their window
+vectors are rebuilt only where they are read.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class MorphicStream:
 
     ``prefix[n]`` is the letter id of V(n) and ``letters[i]`` the i-th
     distinct window vector (as a tuple), in order of first appearance;
-    ``letters`` builds that list on each read, from the array of states.
+    ``letters`` builds that list on each read, from the coordinates of
+    the states.
     Both only grow, one extender at a time under a lock; ``prefix`` is
     replaced by a longer view once a level is written, so reading an
     already generated prefix is safe concurrently.
@@ -39,7 +42,8 @@ class MorphicStream:
         self.rep = rep
         # the letters are the states of the lazy reverse automaton; this
         # also fails early if p exceeds the digit cap
-        self._walk = Interner(rep.v0, rep.all_gammas(), rep.modulus, False)
+        self._module = module = rep.reach_module()
+        self._walk = Interner(module.start, module, False)
         self.prefix = self._buffer = np.zeros(1, dtype=np.int64)
         self._lock = threading.Lock()  # held by the one extender
 
@@ -48,7 +52,8 @@ class MorphicStream:
 
     @property
     def letters(self):
-        return list(map(tuple, self._walk.states[:self._walk.count].tolist()))
+        walk = self._walk
+        return list(map(tuple, self._module.vectors(walk.states[:walk.count]).tolist()))
 
     def extend(self, n):
         """Grow the prefix to at least n letters; returns self.
@@ -82,7 +87,7 @@ class MorphicStream:
         if n < 0:
             raise ValueError("index must be >= 0")
         self.extend(n + 1)
-        return StateVector(self._walk.states[self.prefix[n]],
+        return StateVector(self._module.vectors(self._walk.states[self.prefix[n]]),
                            self.rep.index_set.constant_index)
 
     def coded_prefix(self, rows, n):
@@ -97,7 +102,8 @@ class MorphicStream:
         length = max(0, -(-n // len(rows)))
         self.extend(length)
         ids, walk = self.prefix[:length], self._walk
-        codes = walk.states[:walk.count].astype(np.int64) @ rows.T % self.rep.modulus
+        rho = self._module.dual(rows)
+        codes = walk.states[:walk.count].astype(np.int64) @ rho.T % self.rep.modulus
         return codes[ids].ravel()[:max(n, 0)].tolist()
 
     def letter_count(self):

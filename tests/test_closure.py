@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from ctseq import closure, engines, linrep
+from ctseq import closure, engines, linrep, reduced
 from ctseq.classify import reachable_states, zero_witness
 from ctseq.dfao import build_forward, build_reverse
 from ctseq.errors import ResourceLimitError
@@ -15,6 +15,7 @@ from ctseq.laurent import LaurentPoly
 from ctseq.linrep import LinRep
 from ctseq.morphism import MorphicStream
 from ctseq.primepower import build_reduction
+from ctseq.reduced import Module
 from ctseq.textio import parse_poly, preset
 
 
@@ -81,9 +82,7 @@ def _references(P, Q, p, a, cap):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(_closure_cases())
-def test_closure_matches_fifo_loops(case):
+def _check_closures(case):
     want = _references(*case)
     for sparse in (False, True):
         for packed in (True, False):
@@ -96,6 +95,21 @@ def test_closure_matches_fifo_loops(case):
                     mp.setattr(closure, "_BLOCK_ENTRIES", block)
                     got = _closures(*case)
                 assert got == want, (sparse, packed, block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closure_cases())
+def test_closure_matches_fifo_loops(case):
+    _check_closures(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closure_cases())
+def test_closure_matches_fifo_loops_in_coordinates(case):
+    # every window takes the Howell basis of the reach module
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduced, "_IDENTITY_WINDOW", 0)
+        _check_closures(case)
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,9 +194,7 @@ def _lazy_references(P, Q, p, a, count):
     }
 
 
-@settings(max_examples=40, deadline=None)
-@given(_walk_cases())
-def test_lazy_walks_match_dict_loops(case):
+def _check_lazy_walks(case):
     want = _lazy_references(*case[:5])
     for sparse in (False, True):
         for packed in (True, False):
@@ -193,6 +205,20 @@ def test_lazy_walks_match_dict_loops(case):
                     mp.setattr(closure, "_PACK_LIMIT", 0)
                 got = _lazy_walks(*case)
             assert got == want, (sparse, packed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walk_cases())
+def test_lazy_walks_match_dict_loops(case):
+    _check_lazy_walks(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walk_cases())
+def test_lazy_walks_match_dict_loops_in_coordinates(case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduced, "_IDENTITY_WINDOW", 0)
+        _check_lazy_walks(case)
 
 
 def test_witness_index_beyond_int64():
@@ -209,7 +235,8 @@ def test_witness_index_beyond_int64():
     gammas = [np.eye(width)] * (p - 1) + [step]
     rep = SimpleNamespace(p=p, modulus=p, v0=np.eye(width)[0],
                           index_set=SimpleNamespace(constant_index=0),
-                          all_gammas=lambda: gammas)
+                          all_gammas=lambda: gammas, gamma=gammas.__getitem__)
+    rep.reach_module = lambda: Module(rep)
     got = reachable_states(rep)
     assert got.witness_n0 == p**10 - 1 > 2**63
     assert ref.reachable_states(rep, 100) == (
@@ -286,7 +313,7 @@ GOLDEN_EXPORTS = {
 }
 
 
-def test_preset_exports_are_golden():
+def _preset_export_hashes():
     got = {}
     for name in ("pascal", "catalan", "motzkin", "trinomial"):
         P, Q = preset(name)
@@ -301,4 +328,41 @@ def test_preset_exports_are_golden():
                 for fmt in ("walnut", "dot"):
                     text = machine.export(fmt).encode()
                     got[name, p, a, direction, fmt] = hashlib.sha256(text).hexdigest()
-    assert got == GOLDEN_EXPORTS
+    return got
+
+
+def test_preset_exports_are_golden():
+    assert _preset_export_hashes() == GOLDEN_EXPORTS
+
+
+def test_preset_exports_are_golden_in_coordinates(monkeypatch):
+    # all 32 machines again, the reverse ones built on Howell coordinates
+    monkeypatch.setattr(reduced, "_IDENTITY_WINDOW", 0)
+    assert _preset_export_hashes() == GOLDEN_EXPORTS
+
+
+# SHA-256 of the walnut and dot exports and of the state labels of the
+# Apery reverse automata, as built on full window vectors
+GOLDEN_APERY_REVERSE = {
+    (2, 3): ("0d42487506e261b8c0dfee4027d79a4bf7d90ace85bdf7a4149a9fa70f32ca00",
+             "9edf7c1622ec3feacb37dcb8fb5c2caabc7fe44accd77e5e1f585bb120f20b9e",
+             "dd6dd39cce0760d752f67075ae6280fff7abf5ca05a2605a0fab6c192db5e7f6"),
+    (5, 2): ("54aed325ff56f76e535bf23ff5a680f965538527b5574c1bd8f7351f21cf79df",
+             "d4781b67e763861ea7844ea71e570c82b4494725ad0dd9420a99cdf7ef216230",
+             "892b6749afca32ee53d334d4996553e19a2b67953471373f14780553fbd6c582"),
+    (3, 3): ("10917cb73f4138d1e5894be7db3605627072dd338a159a5e030f58451cd7a6a9",
+             "d629c1cb54739e45b68ed57e2be7a52d501a4d74dfc4cb11ebe7c41470a5a587",
+             "26382491f47542fdb3788617a839121356987f6a722835d8fabcd5d872a8d110"),
+}
+
+
+def test_apery_reverse_automata_are_golden():
+    # windows of 343, 729 and 4,913 entries, all on the Howell basis
+    P, Q = preset("apery")
+    for (p, a), want in GOLDEN_APERY_REVERSE.items():
+        rep = build_reduction(P, Q, p, a).tilde_rep
+        assert rep.reach_module().basis is not None
+        machine = build_reverse(rep)
+        texts = (machine.export("walnut"), machine.export("dot"),
+                 "\n".join(machine.state_labels))
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == want
