@@ -43,9 +43,9 @@ class Module:
     """A submodule of the window that holds every V(n), in coordinates.
 
     ``basis`` is None for the whole window (the identity basis), else
-    the d x |T| Howell form H as a read-only int64 array.  Coordinates
-    and covectors hold residues in the LinRep's dtype, so every product
-    with a map stays exact.
+    the d x |T| Howell form H as a read-only int64 array.  ``start`` and
+    the maps hold residues in the LinRep's dtype, so every product of
+    residues with a map stays exact.
     """
 
     def __init__(self, rep, basis=None, maps=None, start=None, relations=()):
