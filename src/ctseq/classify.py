@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import oracle
-from .closure import Interner, close
+from .closure import Interner
 from .errors import ResourceLimitError
 from .laurent import LaurentPoly
 from .linrep import LinRep, check_digit_cap
@@ -62,31 +62,41 @@ def _least_index(parent, digit, s, p):
     return n
 
 
-def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
-    """All vectors gamma-reachable from V(0), in first-occurrence order.
+def _closure_of_v0(rep, state_cap):
+    """Close V(0) on the reach module a block at a time, yielding after
+    each block the walk and the least n with p | ct(P^n) among the
+    states interned so far (None while there is none).
 
     The walk that first reaches each state is the most significant
-    digit string of the least n producing it, so states are discovered
-    in increasing order of that n and the first state whose constant
-    entry vanishes mod p yields the minimal witness index.
+    digit string of the least n producing it, so states are numbered in
+    increasing order of that n and the first state interned with
+    constant entry 0 mod p gives the least witness.
     """
     p, module = rep.p, rep.reach_module()
-    states, table, parent, digit = close(module.start, module, False, state_cap,
-                                         "reachable set")
-    units = module.constants(states) % p != 0
-    zero = np.flatnonzero(~units[1:])
-    witness = _least_index(parent, digit, int(zero[0]) + 1, p) if zero.size else None
-    # the V(n) with n > 0: the states reached along a walk with a nonzero digit
-    marked = np.zeros(len(table), dtype=bool)
-    marked[table[:, 1:]] = True
-    frontier = np.flatnonzero(marked)
-    while frontier.size:
-        fresh = np.zeros_like(marked)
-        fresh[table[frontier]] = True
-        frontier = np.flatnonzero(fresh & ~marked)
-        marked |= fresh
+    walk = Interner(module.start, module, False, state_cap, "reachable set")
+    witness = None
+    for first in walk.blocks():
+        if witness is None:
+            zero = np.flatnonzero(module.constants(walk.states[first:walk.count]) % p == 0)
+            if zero.size:
+                witness = _least_index(*walk.links(), first + int(zero[0]), p)
+        yield walk, witness
+
+
+def reachable_states(rep, state_cap=DEFAULT_STATE_CAP):
+    """All vectors gamma-reachable from V(0), in first-occurrence order,
+    with the least zero witness."""
+    for walk, witness in _closure_of_v0(rep, state_cap):
+        pass
+    module = rep.reach_module()
+    states, table = walk.states[:walk.count], walk.table[:walk.count]
+    units = module.constants(states) % rep.p != 0
+    # every state but V(0) is some V(n) with n > 0, and so is V(0) when
+    # a step other than digit 0 from V(0) leads back to it
+    off_origin = np.ones(len(table), dtype=bool)
+    off_origin[0] = (table[1:] == 0).any() or (table[0, 1:] == 0).any()
     return ReachReport(module.vectors(states), witness is not None, witness,
-                       bool(units[marked].any()))
+                       bool(units[off_origin].any()))
 
 
 def _verify_witness(P, p, rep, n0):
@@ -124,13 +134,8 @@ def zero_witness(P, p, state_cap=DEFAULT_STATE_CAP):
     oracle prefix as well.
     """
     rep = LinRep(P, LaurentPoly.one(P.nvars), p, 1)
-    module = rep.reach_module()
-    walk = Interner(module.start, module, False, state_cap, "reachable set")
-    witness = None
-    for first in walk.blocks():
-        zero = np.flatnonzero(module.constants(walk.states[first:walk.count]) % p == 0)
-        if zero.size:
-            witness = _least_index(*walk.links(), first + int(zero[0]), p)
+    for _, witness in _closure_of_v0(rep, state_cap):
+        if witness is not None:
             break
     _verify_witness(P, p, rep, witness)
     return witness

@@ -186,8 +186,11 @@ def _cmd_export_dfao(args):
     else:
         machine = build_reverse(red.tilde_rep)
     text = machine.export(args.format)
-    with open(args.o, "w", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(args.o, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError("cannot write %s: %s" % (args.o, exc.strerror)) from None
     print("wrote %s (%d states)" % (args.o, machine.state_count))
     return EXIT_OK
 
@@ -225,6 +228,8 @@ def _parse_part(text):
         beta = int(pieces[2])
     except ValueError:
         raise _UsageError("--part shift and coefficient must be integers: %r" % text)
+    if shift < 0:
+        raise _UsageError("--part shift must be >= 0: %r" % text)
     return shift, parse_poly(pieces[1]), beta
 
 

@@ -156,8 +156,8 @@ class Interner:
 
 
 def close(start, module, forward, state_cap, what):
-    """(states, transitions, parent, digit) of the closure of ``start``,
-    the states in the coordinates of ``module``.
+    """(states, transitions) of the closure of ``start``, the states in
+    the coordinates of ``module``.
 
     ``forward`` applies ``rows @ g``, otherwise ``(g @ rows.T).T``, so
     SparseDigitMap windows work through their 2-D products.  Over
@@ -166,4 +166,4 @@ def close(start, module, forward, state_cap, what):
     walk = Interner(start, module, forward, state_cap, what)
     for _ in walk.blocks():
         pass
-    return (walk.states[:walk.count], walk.table[:walk.count]) + walk.links()
+    return walk.states[:walk.count], walk.table[:walk.count]

@@ -16,7 +16,7 @@ import numpy as np
 from .closure import close
 from .laurent import LaurentPoly
 from .linrep import LinRep, digits_lsd
-from .reduced import Module
+from .reduced import Module, valuation
 
 DEFAULT_STATE_CAP = 50_000
 
@@ -142,14 +142,16 @@ def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
     if rep is None:
         if modulus is None:
             modulus = p
-        a = _power_exponent(modulus, p)
+        a = valuation(modulus, p) if modulus > 1 and p > 1 else 0
+        if a == 0 or modulus != p**a:
+            raise ValueError("modulus %d is not a power of %d" % (modulus, p))
         rep = LinRep(P, Q, p, a)
     from .textio import format_poly
 
     mod = rep.modulus
     vectors, nvars = rep.index_set.vectors, rep.P.nvars
-    states, table, _, _ = close(rep.row_vector(Q), Module(rep), True,
-                                state_cap, "forward automaton")
+    states, table = close(rep.row_vector(Q), Module(rep), True,
+                          state_cap, "forward automaton")
 
     def labels():
         return [format_poly(LaurentPoly(
@@ -164,8 +166,8 @@ def build_reverse(rep, state_cap=DEFAULT_STATE_CAP):
     """Close {V(0)} under V -> gamma(k).V over all digits k, on the
     reach module; the window vectors are rebuilt when first read."""
     module = rep.reach_module()
-    states, table, _, _ = close(module.start, module, False, state_cap,
-                                "reverse automaton")
+    states, table = close(module.start, module, False, state_cap,
+                          "reverse automaton")
 
     def vectors():
         return list(zip(*module.vectors(states).T.tolist()))
@@ -175,15 +177,3 @@ def build_reverse(rep, state_cap=DEFAULT_STATE_CAP):
                    lambda: ["(%s)" % ",".join(map(str, v)) for v in machine.state_vectors],
                    state_vectors=vectors)
     return machine
-
-
-def _power_exponent(modulus, p):
-    """a such that modulus = p^a, validating the shape."""
-    a = 0
-    m = modulus
-    while m % p == 0 and m > 1:
-        m //= p
-        a += 1
-    if m != 1 or a == 0:
-        raise ValueError("modulus %d is not a power of %d" % (modulus, p))
-    return a

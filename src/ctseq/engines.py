@@ -3,18 +3,20 @@
 Every route returns the first N values of ct(P^n Q) mod p^a.  They are
 deliberately different code paths over the same mathematics, so the
 test suite can demand exact agreement between all of them and the
-brute-force oracle.  The one exception: ``morphism`` is an alias of
-``primepower``, one route, the letter stream of the stable base read
-through TildeReduction.prefix.
+brute-force oracle.  The exceptions: ``dfao-reverse`` and ``morphism``
+are aliases of ``primepower``, one route, the letter stream of the
+stable base read through TildeReduction.prefix.  The stream is the
+lazy reverse automaton's run on every index at once, as
+V(pm + k) = gamma(k) V(m).
 
 For N terms ``linrep`` takes one product per digit value and position
-per 256 indices, ``dfao`` and ``dfao-reverse`` one closure.Interner.step
-per digit position over all N indices, and ``morphism`` and
-``primepower`` one step per level of the letter stream.  Every route
-but ``dfao`` runs on the reach module (LinRep.reach_module), whose
-products are d x d for a module of rank d, against |T| x |T| on the
-full window that ``dfao`` walks; the module is built once per LinRep,
-from all digit maps, by the first route that needs it.
+per 256 indices, ``dfao`` one closure.Interner.step per digit position
+over all N indices, and ``primepower`` (with its aliases) one step per
+level of the letter stream.  Every route but ``dfao`` runs on the reach
+module (LinRep.reach_module), whose products are d x d for a module of
+rank d, against |T| x |T| on the full window that ``dfao`` walks; the
+module is built once per LinRep, from all digit maps, by the first
+route that needs it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from . import oracle
 from .closure import Interner
-from .linrep import digits_lsd
 from .primepower import build_reduction
 from .reduced import Module
 
@@ -40,12 +41,10 @@ def sequence(P, Q, p, a, count, engine="linrep", red=None):
         red = build_reduction(P, Q, p, a)
     if engine == "linrep":
         return red.terms(range(count))
-    if engine in ("morphism", "primepower"):
+    if engine in ("dfao-reverse", "morphism", "primepower"):
         return red.prefix(count)
     if engine == "dfao":
         return _forward_runs(red, count)
-    if engine == "dfao-reverse":
-        return _reverse_runs(red, count)
     raise ValueError(
         "unknown engine %r (expected one of %s)" % (engine, "/".join(ENGINE_NAMES))
     )
@@ -67,20 +66,3 @@ def _forward_runs(red, count):
         quotients[live] //= rep.p
         live = live[quotients[live] > 0]
     return walk.states[ids, rep.index_set.constant_index].tolist()
-
-
-def _reverse_runs(red, count):
-    """The reverse automaton, built lazily on the reach module, digits
-    most significant first; leading zeros pad every index to one length,
-    as gamma(0) fixes V(0).
-    """
-    rep = red.tilde_rep
-    module = rep.reach_module()
-    walk = Interner(module.start, module, False)
-    quotients, residues = np.divmod(np.arange(count), red.block_count)
-    ids = np.zeros(count, dtype=np.int64)
-    for j in reversed(range(len(digits_lsd(int(quotients.max(initial=0)), rep.p)))):
-        ids = walk.step(ids, quotients // rep.p**j % rep.p)
-    rho = module.dual(np.stack(red.block_rows).astype(np.int64))
-    codes = walk.states[:walk.count].astype(np.int64) @ rho.T % rep.modulus
-    return codes[ids, residues].tolist()

@@ -23,18 +23,11 @@ from .errors import ResourceLimitError, RingMismatchError
 from .laurent import LaurentPoly
 from .linrep import LinRep, build_index, check_window, digits_lsd
 from .morphism import MorphicStream
+from .reduced import valuation
 
 DEFAULT_BLOCK_CAP = 2**16
 # indices evaluated together by TildeReduction.terms
 _TERMS_CHUNK = 256
-
-
-def _p_adic_valuation(x, p):
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +54,7 @@ def reduce_p_tilde(P, p, a):
     for e in R.terms:
         for x in e:
             if x:
-                v = _p_adic_valuation(x, p)
+                v = valuation(x, p)
                 if ell is None or v < ell:
                     ell = v
     if ell == 0:

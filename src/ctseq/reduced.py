@@ -31,7 +31,8 @@ import numpy as np
 _IDENTITY_WINDOW = 48
 
 
-def _valuation(x, p):
+def valuation(x, p):
+    """The exponent of the largest power of p dividing x != 0."""
     v = 0
     while x % p == 0:
         x //= p
@@ -129,7 +130,7 @@ class _Howell:
                     break
                 c = int(nonzero[0])
                 lead = int(x[c])
-                w = _valuation(lead, p)
+                w = valuation(lead, p)
                 have = self.rows.get(c)
                 if have is not None and have[0] <= w:
                     x = (x - lead // p ** have[0] * have[1]) % mod

@@ -9,7 +9,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctseq
@@ -312,7 +312,10 @@ _SUBCOMMANDS = {
                     ("-a", _ints(1, 2), _JUNK_INT),
                     ("--format", st.sampled_from(["dot", "walnut"]), st.just("svg")),
                     ("--direction", st.sampled_from(["forward", "reverse"]),
-                     st.just("up"))],
+                     st.just("up")),
+                    # TMP is the test's temporary directory
+                    ("-o", st.just("TMP/machine.txt"),
+                     st.sampled_from(["TMP/missing/machine.txt", "TMP"]))],
     "freq": [("--poly", _POLY, _JUNK_POLY), ("-p", _ints(2, 5), _JUNK_INT),
              ("-a", _ints(1, 3), _JUNK_INT), ("-n", _ints(1, 30), _JUNK_INT)],
     "gaps": [("--poly", _POLY, _JUNK_POLY), ("-p", _ints(2, 5), _JUNK_INT),
@@ -336,7 +339,8 @@ _SUBCOMMANDS = {
 @st.composite
 def _argv(draw):
     """A subcommand with valid values, then at most two flags dropped or
-    given an invalid value."""
+    given an invalid value; a long flag may take its value as
+    ``--flag=VALUE``, which lets values such as ``-1,1,1`` through."""
     command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
     flags = _SUBCOMMANDS[command]
     broken = draw(st.lists(st.integers(0, len(flags) - 1), max_size=2, unique=True))
@@ -346,19 +350,25 @@ def _argv(draw):
         if flag == "--json":
             argv += [flag] if how == "good" else []
         elif how != "drop":
-            argv += [flag, draw(good if how == "good" else bad)]
-    if command == "conjecture" and "--count" not in argv:
+            value = draw(good if how == "good" else bad)
+            if flag.startswith("--") and draw(st.booleans()):
+                argv.append("%s=%s" % (flag, value))
+            else:
+                argv += [flag, value]
+    if command == "conjecture" and not any(a.split("=")[0] == "--count" for a in argv):
         argv += ["--count", "2"]  # the default count of 200 takes half a minute
     return argv
 
 
 @settings(max_examples=300, deadline=None)
 @given(_argv())
+@example(["combine", "--poly", "@motzkin", "-p", "3", "--part=-1,1,1", "-n", "5"])
+@example(["export-dfao", "--poly", "@pascal", "-p", "2", "--format", "dot",
+          "--direction", "reverse", "-o", "TMP/missing/o.dot"])
 def test_cli_argv_fuzz(argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        if argv[0] == "export-dfao":
-            argv = argv + ["-o", os.path.join(tmp, "machine.txt")]
+        argv = [a.replace("TMP", tmp, 1) if a.startswith("TMP") else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
@@ -97,8 +97,15 @@ def _check_closures(case):
                 assert got == want, (sparse, packed, block)
 
 
+_ONE, _X = LaurentPoly.one(1), LaurentPoly(1, {(1,): 1})
+
+
 @settings(max_examples=60, deadline=None)
 @given(_closure_cases())
+# V(0) recurs (V(1) = V(0)), so nonzero_ct_off_origin holds on V(0) alone
+@example((_ONE, _ONE, 2, 1, 3000))
+# V(0) never recurs and every later V(n) is zero
+@example((_X, _ONE, 2, 1, 3000))
 def test_closure_matches_fifo_loops(case):
     _check_closures(case)
 

@@ -29,6 +29,14 @@ def test_forward_trinomial_mod2_single_state():
     assert d.transitions == [[0, 0]]
 
 
+def test_forward_modulus_must_be_a_power_of_p():
+    P, _ = preset("pascal")
+    assert build_forward(P, one, 2, modulus=8).modulus == 8
+    for p, modulus in ((2, 0), (2, 1), (2, -8), (2, 6), (2, 12), (3, 8), (1, 5)):
+        with pytest.raises(ValueError, match="is not a power of"):
+            build_forward(P, one, p, modulus=modulus)
+
+
 def test_forward_zero_coding():
     P, _ = preset("pascal")
     d = build_forward(P, LaurentPoly.zero(1), 2)

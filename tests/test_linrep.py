@@ -433,12 +433,14 @@ def test_every_engine_refuses_negative_count(engine):
     assert engines.sequence(P, Q, 3, 2, 0, engine) == []
 
 
+@pytest.mark.parametrize("engine", ["morphism", "dfao-reverse"])
 @pytest.mark.parametrize("a", [1, 2])
-def test_morphism_reads_the_reductions_stream(a):
+def test_morphism_reads_the_reductions_stream(a, engine):
+    # both names are aliases of primepower: they grow the reduction's own stream
     P, Q = preset("motzkin")
     p, n = 3, 300
     red = build_reduction(P, Q, p, a)
-    got = engines.sequence(P, Q, p, a, n, "morphism", red=red)
+    got = engines.sequence(P, Q, p, a, n, engine, red=red)
     assert len(red.stream()) >= math.ceil(n / red.block_count)
     assert got == engines.sequence(P, Q, p, a, n, "primepower", red=red)
     assert got == oracle.sequence(P, Q, p**a, n)
