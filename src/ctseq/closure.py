@@ -3,9 +3,11 @@
 Verdicts, automata, the lazy engine runs and the letter stream walk
 vectors under v -> v @ gamma(k) (forward) or v -> gamma(k) @ v
 (reverse), and all number them through one ``Interner``.  A walk runs
-in the coordinates of a reduced.Module: reverse walks on the reach
-module of their LinRep, where a state is its canonical coordinates
-under y -> C(k) @ y, and forward walks on the whole window.
+in the coordinates of a reduced.Module, where a state is its canonical
+coordinates: reverse walks on the reach module of their LinRep, under
+y -> C(k) @ y; the forward automaton on the module its coding row
+spans, under y -> y @ D(k); and the lazy forward engine on the whole
+window.
 ``Interner.blocks`` walks a closure a block of the queue at a time and
 can be stopped after any block; ``close`` runs it to the end.
 ``Interner.step`` computes only the transitions a lazy walk asks for.
@@ -28,9 +30,10 @@ _BLOCK_ENTRIES = (2**16, 2**20)
 def _keys(rows, modulus, store):
     """One sortable key per int64 row: its entries packed as base-modulus
     digits, or else its bytes in the ``store`` dtype (numpy strips
-    trailing NULs, which stays injective on rows of one length)."""
+    trailing NULs, which stays injective on rows of one length).  Rows
+    of width 0 all pack to 0."""
     width = rows.shape[1]
-    if modulus**width < _PACK_LIMIT:
+    if modulus**width < _PACK_LIMIT or not width:
         return rows @ modulus ** np.arange(width, dtype=np.int64)
     rows = np.ascontiguousarray(rows, dtype=store)
     return rows.view("S%d" % (width * rows.itemsize)).ravel()
@@ -137,12 +140,14 @@ class Interner:
         done = 0
         while done < self.count:
             lo, hi = _BLOCK_ENTRIES
-            rows = max(1, min(max(lo, self.count * p * width // 8), hi) // (p * width))
+            # a module of rank 0 has rows of width 0
+            entries = max(1, p * width)
+            rows = max(1, min(max(lo, self.count * entries // 8), hi) // entries)
             block = self.states[done:min(self.count, done + rows)].astype(self.dtype)
             cand = np.empty((len(block), p, width), dtype=np.int64)
             for k, g in enumerate(self.maps):
                 cand[:, k] = block @ g if self.forward else (g @ block.T).T
-            cand = self.reduce(cand.reshape(-1, width))
+            cand = self.reduce(cand.reshape(len(block) * p, width))
             first = self.count
             ids = self.intern(cand, np.arange(done * p, done * p + len(cand)))
             self.table[done:done + len(block)] = ids.reshape(-1, p)

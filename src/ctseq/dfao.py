@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import reduced
 from .closure import close
 from .laurent import LaurentPoly
 from .linrep import LinRep, digits_lsd
-from .reduced import Module, valuation
 
 DEFAULT_STATE_CAP = 50_000
 
@@ -138,11 +138,14 @@ def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
     first with digits ascending, so the numbering is reproducible.
     Transitions are computed through the window matrices; the agreement
     with the direct section-operator map is covered by the duality tests.
+    Windows over reduced._IDENTITY_WINDOW entries close Q's row in the
+    coordinates of the module it spans (reduced.span), built per call;
+    outputs are read from them and labels rebuilt when first read.
     """
     if rep is None:
         if modulus is None:
             modulus = p
-        a = valuation(modulus, p) if modulus > 1 and p > 1 else 0
+        a = reduced.valuation(modulus, p) if modulus > 1 and p > 1 else 0
         if a == 0 or modulus != p**a:
             raise ValueError("modulus %d is not a power of %d" % (modulus, p))
         rep = LinRep(P, Q, p, a)
@@ -150,16 +153,21 @@ def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
 
     mod = rep.modulus
     vectors, nvars = rep.index_set.vectors, rep.P.nvars
-    states, table = close(rep.row_vector(Q), Module(rep), True,
-                          state_cap, "forward automaton")
+    row = rep.row_vector(Q)
+    if len(rep.index_set) > reduced._IDENTITY_WINDOW:
+        module = reduced.span(rep, row, forward=True)
+        row = module.start
+    else:
+        module = reduced.Module(rep)
+    states, table = close(row, module, True, state_cap, "forward automaton")
 
     def labels():
         return [format_poly(LaurentPoly(
-            nvars, {vectors[i]: c for i, c in enumerate(row) if c}, mod))
-            for row in states.tolist()]
+            nvars, {vectors[i]: c for i, c in enumerate(vec) if c}, mod))
+            for vec in module.vectors(states).tolist()]
 
     return Dfao(rep.p, mod, "forward", table.tolist(),
-                states[:, rep.index_set.constant_index].tolist(), labels)
+                module.constants(states).tolist(), labels)
 
 
 def build_reverse(rep, state_cap=DEFAULT_STATE_CAP):

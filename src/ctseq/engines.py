@@ -14,9 +14,10 @@ per 256 indices, ``dfao`` one closure.Interner.step per digit position
 over all N indices, and ``primepower`` (with its aliases) one step per
 level of the letter stream.  Every route but ``dfao`` runs on the reach
 module (LinRep.reach_module), whose products are d x d for a module of
-rank d, against |T| x |T| on the full window that ``dfao`` walks; the
-module is built once per LinRep, from all digit maps, by the first
-route that needs it.
+rank d; the module is built once per LinRep, from all digit maps, by
+the first route that needs it.  ``dfao`` walks full window vectors with
+|T| x |T| products and no Howell module, unlike dfao.build_forward, so
+it checks the module routes independently.
 """
 
 from __future__ import annotations

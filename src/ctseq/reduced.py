@@ -1,26 +1,30 @@
-"""The module the window vectors V(n) span, in Howell coordinates.
+"""Modules of window vectors closed under the digit maps, in Howell coordinates.
 
 The V(n) span a submodule M of the window (Z/p^a)^T that is closed
 under the digit maps and often far smaller than the window: Apery mod
-27 has 8 rows in a window of 4,913 entries.  ``reach`` closes V(0)
-under the gamma(k) and keeps the span in Howell form (Howell, Linear
-Multilinear Algebra 1986; Storjohann-Mulders, ESA 1998): rows h_i in
-echelon form whose pivots are p^(v_i), such that the elements of M
-vanishing on the first columns are spanned by the later rows.  Every
-element of M then has unique canonical coordinates y, with
-0 <= y_i < p^(a - v_i) and vector y @ H, so states are interned and
-terms evaluated in d dimensions:
+27 has 8 rows in a window of 4,913 entries.  ``span`` closes start rows
+under x -> gamma(k) x (reverse) or x -> x gamma(k) (forward) and keeps
+the span in Howell form (Howell, Linear Multilinear Algebra 1986;
+Storjohann-Mulders, ESA 1998): rows h_i in echelon form whose pivots
+are p^(v_i), such that the elements of M vanishing on the first
+columns are spanned by the later rows.  Every element of M then has
+unique canonical coordinates y, with 0 <= y_i < p^(a - v_i) and vector
+y @ H, so states are interned and terms evaluated in d dimensions.
+``reach`` is the reverse span of V(0):
 
 - ``maps[k]`` is C(k), with gamma(k) h_j = sum_i C(k)[i, j] h_i;
 - ``start`` holds the coordinates of V(0);
 - ``dual(rows)`` turns coding rows into rho = row . H^T, and the term
   row . gamma(d_0) ... gamma(d_t) . V(0) is rho . C(d_0) ... C(d_t) . start.
 
-A product C(k) y gives valid coordinates that need not be canonical;
+On a forward span ``maps[k]`` is D(k), with h_i gamma(k) =
+sum_j D(k)[i, j] h_j, so a state y steps to y @ D(k).  A product
+C(k) y or y D(k) gives valid coordinates that need not be canonical;
 ``reduce`` makes them canonical through the relations
 p^(a - v_i) h_i = sum_(j > i) R[i, j] h_j.  With no basis the module is
 the whole window: coordinates are the vectors and the maps are the
-digit matrices, which is how forward walks and narrow windows run.
+digit matrices, which is how the lazy forward engine and narrow
+windows run.
 """
 
 from __future__ import annotations
@@ -41,12 +45,13 @@ def valuation(x, p):
 
 
 class Module:
-    """A submodule of the window that holds every V(n), in coordinates.
+    """A submodule of the window closed under the digit maps, in coordinates.
 
     ``basis`` is None for the whole window (the identity basis), else
-    the d x |T| Howell form H as a read-only int64 array.  ``start`` and
-    the maps hold residues in the LinRep's dtype, so every product of
-    residues with a map stays exact.
+    the d x |T| Howell form H as a read-only int64 array.  ``start``
+    holds the coordinates of the rows the span was closed from (V(0)
+    without a basis).  It and the maps hold residues in the LinRep's
+    dtype, so every product of residues with a map stays exact.
     """
 
     def __init__(self, rep, basis=None, maps=None, start=None, relations=()):
@@ -63,7 +68,7 @@ class Module:
     @property
     def rank(self):
         """The number of coordinates: d, or |T| for the whole window."""
-        return len(self.start)
+        return self.start.shape[-1]
 
     @property
     def maps(self):
@@ -153,50 +158,63 @@ class _Howell:
         out = np.zeros((len(left), len(cols)), dtype=np.int64)
         for i, (c, v) in enumerate(zip(cols, vals)):
             lead = left[:, c]
-            assert not (lead % p**v).any(), "vector outside the reach module"
+            assert not (lead % p**v).any(), "vector outside the module"
             out[:, i] = lead // p**v
             left -= out[:, i, None] * basis[i]
             left %= mod
-        assert not left.any(), "vector outside the reach module"
+        assert not left.any(), "vector outside the module"
         return out
 
 
-def reach(rep):
-    """The Module spanned by the V(n) of ``rep``, in Howell form.
+def span(rep, starts, forward):
+    """The Module that the ``starts`` rows span under x -> x gamma(k)
+    (``forward``) or x -> gamma(k) x, in Howell form.
 
-    Closes V(0) under the stored digit maps: each round applies every
-    gamma(k) to the rows that the previous round added.  Each final row
-    was added in some round, so C(k) comes from the images already
-    taken; the build asserts that gamma(k) H^T = H^T C(k) (mod p^a).
-    The relation rows p^(a - v_i) h_i give the canonical reduction.
+    Each round applies every gamma(k) to the rows that the previous
+    round added.  Each final row was added in some round, so its images
+    are already taken; their coordinates give C(k), asserted as
+    gamma(k) H^T = H^T C(k) (mod p^a), or D(k), asserted as
+    H gamma(k) = D(k) H.  The relation rows p^(a - v_i) h_i give the
+    canonical reduction.  Starts that vanish mod p^a span the zero
+    module, of rank 0.
     """
     p, a, mod = rep.p, rep.a, rep.modulus
-    gammas, dtype = rep.all_gammas(), rep.v0.dtype
-    howell = _Howell(p, a)
-    fresh, taken = howell.insert(rep.v0.astype(np.int64)), []
+    gammas, dtype, width = rep.all_gammas(), rep.v0.dtype, len(rep.index_set)
+    starts = np.asarray(starts)
+    flat = starts.reshape(-1, width)
+    howell, fresh, taken = _Howell(p, a), [], []
+    for x in flat.astype(np.int64):
+        fresh += howell.insert(x)
     while fresh:
-        block = np.array(fresh, dtype=dtype).T
-        # images[j, k] = gamma(k) applied to row j of the block
-        images = np.stack([np.asarray(g @ block) for g in gammas]).transpose(2, 0, 1) % mod
+        block = np.array(fresh, dtype=dtype)
+        # images[j, k] = row j of the block under gamma(k)
+        images = np.stack([block @ g if forward else (g @ block.T).T
+                           for g in gammas], axis=1) % mod
         taken += zip(fresh, images.astype(np.int64))
         fresh = []
-        for x in images.reshape(-1, block.shape[0]).astype(np.int64):
+        for x in images.reshape(-1, width).astype(np.int64):
             fresh += howell.insert(x)
     cols = sorted(howell.rows)
     vals = [howell.rows[c][0] for c in cols]
     rows = [howell.rows[c][1] for c in cols]
-    basis = np.array(rows, dtype=np.int64)
+    basis = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     basis.setflags(write=False)
 
     def coords(vecs):
         return howell.coordinates(cols, vals, basis, vecs)
 
     # images of the final rows, as (d, p, |T|)
-    images = np.array([next(im for x, im in taken if x is row) for row in rows])
+    images = np.array([next(im for x, im in taken if x is row) for row in rows],
+                      dtype=np.int64).reshape(len(rows), p, width)
     maps = []
     for k in range(p):
-        c = coords(images[:, k]).T
-        assert np.array_equal(basis.T @ c % mod, images[:, k].T), "gamma H^T != H^T C"
+        # row j: the coordinates of row j's image under gamma(k)
+        c = coords(images[:, k])
+        if forward:
+            assert np.array_equal(c @ basis % mod, images[:, k]), "H gamma != D H"
+        else:
+            c = c.T
+            assert np.array_equal(basis.T @ c % mod, images[:, k].T), "gamma H^T != H^T C"
         c = c.astype(dtype)
         c.setflags(write=False)
         maps.append(c)
@@ -207,6 +225,11 @@ def reach(rep):
             relation = coords(basis[i:i + 1] * unit)[0]
             assert not relation[:i + 1].any(), "relation row leaves the later rows"
             relations.append((i, unit, relation))
-    start = coords(rep.v0[None])[0].astype(dtype)
+    start = coords(flat).astype(dtype).reshape(starts.shape[:-1] + (len(rows),))
     start.setflags(write=False)
     return Module(rep, basis, maps, start, tuple(relations))
+
+
+def reach(rep):
+    """The Module spanned by the V(n) of ``rep``: V(0) under x -> gamma(k) x."""
+    return span(rep, rep.v0, forward=False)

@@ -98,6 +98,8 @@ def _check_closures(case):
 
 
 _ONE, _X = LaurentPoly.one(1), LaurentPoly(1, {(1,): 1})
+# a window of 51 entries, over reduced._IDENTITY_WINDOW
+_ZERO_Q = (LaurentPoly(1, {(0,): -4, (1,): -4}), LaurentPoly.zero(1), 5, 3, 3000)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,14 +108,17 @@ _ONE, _X = LaurentPoly.one(1), LaurentPoly(1, {(1,): 1})
 @example((_ONE, _ONE, 2, 1, 3000))
 # V(0) never recurs and every later V(n) is zero
 @example((_X, _ONE, 2, 1, 3000))
+# Q = 0: the forward module has rank 0, its machine one state
+@example(_ZERO_Q)
 def test_closure_matches_fifo_loops(case):
     _check_closures(case)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_closure_cases())
+@example(_ZERO_Q)
 def test_closure_matches_fifo_loops_in_coordinates(case):
-    # every window takes the Howell basis of the reach module
+    # every window takes the Howell basis of the reach and forward modules
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduced, "_IDENTITY_WINDOW", 0)
         _check_closures(case)
@@ -370,6 +375,38 @@ def test_apery_reverse_automata_are_golden():
         rep = build_reduction(P, Q, p, a).tilde_rep
         assert rep.reach_module().basis is not None
         machine = build_reverse(rep)
+        texts = (machine.export("walnut"), machine.export("dot"),
+                 "\n".join(machine.state_labels))
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == want
+
+
+# the same for the Apery forward automata, as built on full window vectors
+GOLDEN_APERY_FORWARD = {
+    (2, 3): ("b9a5cfd08b8f93a5390d14225c31fac09b7253db0d3d4786946a61c106601939",
+             "4359098b477f713a401fa7f2175ac4d123556e39f5181ec5464059a6b5bb5f2c",
+             "10955e5a123fa4d9bfda0141d07f9f86b7228e1832289b5ded734f9672b10392"),
+    (5, 2): ("c91ec2c7f566c5066acc937b8fb64ce07241d7a925451987fe23d25fbaee58db",
+             "f0c12ff5f066fa73352ad1ea0d2645ddbcef2355ac7313ea94d6df338829aed9",
+             "aa0558e180300ac2816aa51a8cedec2cda18a9f7e46af96a265b174194c447f7"),
+    (3, 3): ("77931c3a8d7825471da96ee62f4718abba5096479e3c52095208aa2b05c51cb3",
+             "ea6ce0a580818991f3bee165f61717a6b1c13abe443c0947aac5e279ef212363",
+             "879369b598c72d18eb372c07f59c662cd9e444e6d1cb624459bf243cee5c4b94"),
+}
+
+
+def test_apery_forward_automata_are_golden(monkeypatch):
+    # each machine is built on the Howell basis of the module Q's row spans
+    P, Q = preset("apery")
+    span, built = reduced.span, []
+    monkeypatch.setattr(reduced, "span", lambda *args, **kw: built.append(
+        span(*args, **kw)) or built[-1])
+    for (p, a), want in GOLDEN_APERY_FORWARD.items():
+        red = build_reduction(P, Q, p, a)
+        machine = build_forward(red.p_tilde, red.reduced_codings[0][0], p,
+                                red.modulus, rep=red.tilde_rep)
+        module = built.pop()
+        assert module.basis is not None
+        assert module.rank < len(red.tilde_rep.index_set)
         texts = (machine.export("walnut"), machine.export("dot"),
                  "\n".join(machine.state_labels))
         assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == want

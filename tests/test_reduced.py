@@ -1,14 +1,17 @@
-"""The reach module: Howell coordinates of the window vectors V(n)."""
+"""Howell coordinates of the reach module, spanned by the window vectors
+V(n), and of the forward module, spanned by the coding rows."""
 
+import random
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctseq import engines, oracle, reduced
+from ctseq.dfao import build_forward
 from ctseq.laurent import LaurentPoly
 from ctseq.primepower import build_reduction
 from ctseq.textio import preset
@@ -53,17 +56,7 @@ def _check_coordinates(P, Q, p, a, rnd):
     for k, c in enumerate(module.maps):
         gamma = np.asarray(rep.gamma(k), dtype=np.int64)
         assert np.array_equal(gamma @ basis.T % mod, basis.T @ c.astype(np.int64) % mod)
-    # arbitrary coordinates reduce to canonical ones of the same vector,
-    # canonical ones are fixed, and equal vectors have equal coordinates
-    y = np.array([[rnd.randrange(-3 * mod, 3 * mod) for _ in range(d)]
-                  for _ in range(60)], dtype=np.int64)
-    canon = module.reduce(y.copy())
-    vectors = module.vectors(canon)
-    assert np.array_equal(module.vectors(y % mod), vectors)
-    assert np.array_equal(module.reduce(canon.copy()), canon)
-    same_vector = (vectors[:, None] == vectors[None]).all(axis=2)
-    same_key = (canon[:, None] == canon[None]).all(axis=2)
-    assert np.array_equal(same_vector, same_key)
+    _check_canonical(module, rnd)
     assert np.array_equal(module.vectors(module.start[None]), rep.v0[None])
     # every route in coordinates equals the oracle
     n = 80
@@ -72,6 +65,54 @@ def _check_coordinates(P, Q, p, a, rnd):
     assert red.terms(range(n)) == want
     assert red.prefix(n) == want
     assert engines.sequence(P, Q, p, a, n, "dfao-reverse", red=red) == want
+
+
+def _check_canonical(module, rnd):
+    """Arbitrary coordinates reduce to canonical ones of the same vector,
+    canonical ones are fixed, and equal vectors have equal coordinates."""
+    mod, d = module.modulus, module.rank
+    y = np.array([[rnd.randrange(-3 * mod, 3 * mod) for _ in range(d)]
+                  for _ in range(60)], dtype=np.int64).reshape(60, d)
+    canon = module.reduce(y.copy())
+    vectors = module.vectors(canon)
+    assert np.array_equal(module.vectors(y % mod), vectors)
+    assert np.array_equal(module.reduce(canon.copy()), canon)
+    same_vector = (vectors[:, None] == vectors[None]).all(axis=2)
+    same_key = (canon[:, None] == canon[None]).all(axis=2)
+    assert np.array_equal(same_vector, same_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cases(), st.randoms(use_true_random=False))
+# Q = 0 spans the zero module, of rank 0
+@example((LaurentPoly(1, {(0,): -4, (1,): -4}), LaurentPoly.zero(1), 5, 3),
+         random.Random(0))
+def test_forward_module_coordinates(case, rnd):
+    P, Q, p, a = case
+    with pytest.MonkeyPatch.context() as mp:
+        # small windows take the Howell basis too
+        mp.setattr(reduced, "_IDENTITY_WINDOW", 0)
+        red = build_reduction(P, Q, p, a)
+        rep, mod = red.tilde_rep, p**a
+        rows = np.stack(red.block_rows)
+        module = reduced.span(rep, rows, forward=True)
+        basis, d = module.basis, module.rank
+        assert basis is not None and basis.shape == (d, len(rep.index_set))
+        # H gamma(k) = D(k) H: every image of a row lies in the module
+        for k, c in enumerate(module.maps):
+            gamma = np.asarray(rep.gamma(k), dtype=np.int64)
+            assert np.array_equal(basis @ gamma % mod, c.astype(np.int64) @ basis % mod)
+        _check_canonical(module, rnd)
+        assert np.array_equal(module.vectors(module.start), rows % mod)
+        # one forward machine per residue of the index mod p^(a-1), each
+        # built on the module of its own coding row
+        n = 80
+        machines = [build_forward(red.p_tilde, q, p, mod, rep=rep)
+                    for q in red.reduced_codings[0]]
+        got = [machines[i % red.block_count].run(i // red.block_count)
+               for i in range(n)]
+    assert got == oracle.sequence(P, Q, mod, n)
+    assert got == engines.sequence(P, Q, p, a, n, "dfao", red=red)
 
 
 def test_threads_share_one_module():
