@@ -5,9 +5,9 @@ vectors under v -> v @ gamma(k) (forward) or v -> gamma(k) @ v
 (reverse), and all number them through one ``Interner``.  A walk runs
 in the coordinates of a reduced.Module, where a state is its canonical
 coordinates: reverse walks on the reach module of their LinRep, under
-y -> C(k) @ y; the forward automaton on the module its coding row
-spans, under y -> y @ D(k); and the lazy forward engine on the whole
-window.
+y -> C(k) @ y; the forward automaton, on wide windows, on the module
+its coding row spans, under y -> y @ D(k); and the lazy forward engine
+on the whole window.
 ``Interner.blocks`` walks a closure a block of the queue at a time and
 can be stopped after any block; ``close`` runs it to the end.
 ``Interner.step`` computes only the transitions a lazy walk asks for.

@@ -138,7 +138,7 @@ def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
     first with digits ascending, so the numbering is reproducible.
     Transitions are computed through the window matrices; the agreement
     with the direct section-operator map is covered by the duality tests.
-    Windows over reduced._IDENTITY_WINDOW entries close Q's row in the
+    Windows over reduced._FORWARD_WINDOW entries close Q's row in the
     coordinates of the module it spans (reduced.span), built per call;
     outputs are read from them and labels rebuilt when first read.
     """
@@ -154,7 +154,7 @@ def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
     mod = rep.modulus
     vectors, nvars = rep.index_set.vectors, rep.P.nvars
     row = rep.row_vector(Q)
-    if len(rep.index_set) > reduced._IDENTITY_WINDOW:
+    if len(rep.index_set) > reduced._FORWARD_WINDOW:
         module = reduced.span(rep, row, forward=True)
         row = module.start
     else:

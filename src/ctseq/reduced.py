@@ -2,7 +2,7 @@
 
 The V(n) span a submodule M of the window (Z/p^a)^T that is closed
 under the digit maps and often far smaller than the window: Apery mod
-27 has 8 rows in a window of 4,913 entries.  ``span`` closes start rows
+27 has 8 rows in a window of 4,913 entries.  ``span`` closes a start row
 under x -> gamma(k) x (reverse) or x -> x gamma(k) (forward) and keeps
 the span in Howell form (Howell, Linear Multilinear Algebra 1986;
 Storjohann-Mulders, ESA 1998): rows h_i in echelon form whose pivots
@@ -23,8 +23,8 @@ C(k) y or y D(k) gives valid coordinates that need not be canonical;
 ``reduce`` makes them canonical through the relations
 p^(a - v_i) h_i = sum_(j > i) R[i, j] h_j.  With no basis the module is
 the whole window: coordinates are the vectors and the maps are the
-digit matrices, which is how the lazy forward engine and narrow
-windows run.
+digit matrices, which is how the lazy forward engine, narrow windows
+and forward automata on windows up to _FORWARD_WINDOW entries run.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ import numpy as np
 
 # windows of at most this many entries keep the identity basis
 _IDENTITY_WINDOW = 48
+# forward automata keep it up to this many entries: below, building the
+# forward module mostly cost more than it saved, up to 23 times (see
+# README, "Known computational limits")
+_FORWARD_WINDOW = 512
 
 
 def valuation(x, p):
@@ -49,7 +53,7 @@ class Module:
 
     ``basis`` is None for the whole window (the identity basis), else
     the d x |T| Howell form H as a read-only int64 array.  ``start``
-    holds the coordinates of the rows the span was closed from (V(0)
+    holds the coordinates of the row the span was closed from (V(0)
     without a basis).  It and the maps hold residues in the LinRep's
     dtype, so every product of residues with a map stays exact.
     """
@@ -68,7 +72,7 @@ class Module:
     @property
     def rank(self):
         """The number of coordinates: d, or |T| for the whole window."""
-        return self.start.shape[-1]
+        return len(self.start)
 
     @property
     def maps(self):
@@ -166,8 +170,8 @@ class _Howell:
         return out
 
 
-def span(rep, starts, forward):
-    """The Module that the ``starts`` rows span under x -> x gamma(k)
+def span(rep, start, forward):
+    """The Module that the row ``start`` spans under x -> x gamma(k)
     (``forward``) or x -> gamma(k) x, in Howell form.
 
     Each round applies every gamma(k) to the rows that the previous
@@ -175,16 +179,14 @@ def span(rep, starts, forward):
     are already taken; their coordinates give C(k), asserted as
     gamma(k) H^T = H^T C(k) (mod p^a), or D(k), asserted as
     H gamma(k) = D(k) H.  The relation rows p^(a - v_i) h_i give the
-    canonical reduction.  Starts that vanish mod p^a span the zero
+    canonical reduction.  A start that vanishes mod p^a spans the zero
     module, of rank 0.
     """
     p, a, mod = rep.p, rep.a, rep.modulus
     gammas, dtype, width = rep.all_gammas(), rep.v0.dtype, len(rep.index_set)
-    starts = np.asarray(starts)
-    flat = starts.reshape(-1, width)
-    howell, fresh, taken = _Howell(p, a), [], []
-    for x in flat.astype(np.int64):
-        fresh += howell.insert(x)
+    x = np.asarray(start).astype(np.int64)
+    howell, taken = _Howell(p, a), []
+    fresh = howell.insert(x)
     while fresh:
         block = np.array(fresh, dtype=dtype)
         # images[j, k] = row j of the block under gamma(k)
@@ -192,8 +194,8 @@ def span(rep, starts, forward):
                            for g in gammas], axis=1) % mod
         taken += zip(fresh, images.astype(np.int64))
         fresh = []
-        for x in images.reshape(-1, width).astype(np.int64):
-            fresh += howell.insert(x)
+        for y in images.reshape(-1, width).astype(np.int64):
+            fresh += howell.insert(y)
     cols = sorted(howell.rows)
     vals = [howell.rows[c][0] for c in cols]
     rows = [howell.rows[c][1] for c in cols]
@@ -225,7 +227,7 @@ def span(rep, starts, forward):
             relation = coords(basis[i:i + 1] * unit)[0]
             assert not relation[:i + 1].any(), "relation row leaves the later rows"
             relations.append((i, unit, relation))
-    start = coords(flat).astype(dtype).reshape(starts.shape[:-1] + (len(rows),))
+    start = coords(x[None])[0].astype(dtype)
     start.setflags(write=False)
     return Module(rep, basis, maps, start, tuple(relations))
 

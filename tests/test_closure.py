@@ -98,7 +98,7 @@ def _check_closures(case):
 
 
 _ONE, _X = LaurentPoly.one(1), LaurentPoly(1, {(1,): 1})
-# a window of 51 entries, over reduced._IDENTITY_WINDOW
+# Q = 0 on a window of 51 entries
 _ZERO_Q = (LaurentPoly(1, {(0,): -4, (1,): -4}), LaurentPoly.zero(1), 5, 3, 3000)
 
 
@@ -108,7 +108,7 @@ _ZERO_Q = (LaurentPoly(1, {(0,): -4, (1,): -4}), LaurentPoly.zero(1), 5, 3, 3000
 @example((_ONE, _ONE, 2, 1, 3000))
 # V(0) never recurs and every later V(n) is zero
 @example((_X, _ONE, 2, 1, 3000))
-# Q = 0: the forward module has rank 0, its machine one state
+# Q = 0: the forward machine has one state
 @example(_ZERO_Q)
 def test_closure_matches_fifo_loops(case):
     _check_closures(case)
@@ -118,9 +118,11 @@ def test_closure_matches_fifo_loops(case):
 @given(_closure_cases())
 @example(_ZERO_Q)
 def test_closure_matches_fifo_loops_in_coordinates(case):
-    # every window takes the Howell basis of the reach and forward modules
+    # every window takes the Howell basis of the reach and forward
+    # modules; Q = 0 spans a forward module of rank 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduced, "_IDENTITY_WINDOW", 0)
+        mp.setattr(reduced, "_FORWARD_WINDOW", 0)
         _check_closures(case)
 
 
@@ -348,8 +350,9 @@ def test_preset_exports_are_golden():
 
 
 def test_preset_exports_are_golden_in_coordinates(monkeypatch):
-    # all 32 machines again, the reverse ones built on Howell coordinates
+    # all 32 machines again, built on Howell coordinates
     monkeypatch.setattr(reduced, "_IDENTITY_WINDOW", 0)
+    monkeypatch.setattr(reduced, "_FORWARD_WINDOW", 0)
     assert _preset_export_hashes() == GOLDEN_EXPORTS
 
 
@@ -395,18 +398,23 @@ GOLDEN_APERY_FORWARD = {
 
 
 def test_apery_forward_automata_are_golden(monkeypatch):
-    # each machine is built on the Howell basis of the module Q's row spans
+    # windows over reduced._FORWARD_WINDOW entries (mod 25 and 27) are
+    # built on the Howell basis of the module Q's row spans, mod 8 on
+    # full window vectors; all three again with every window on its module
     P, Q = preset("apery")
+    reds = {(p, a): build_reduction(P, Q, p, a) for p, a in GOLDEN_APERY_FORWARD}
     span, built = reduced.span, []
     monkeypatch.setattr(reduced, "span", lambda *args, **kw: built.append(
         span(*args, **kw)) or built[-1])
-    for (p, a), want in GOLDEN_APERY_FORWARD.items():
-        red = build_reduction(P, Q, p, a)
-        machine = build_forward(red.p_tilde, red.reduced_codings[0][0], p,
-                                red.modulus, rep=red.tilde_rep)
-        module = built.pop()
-        assert module.basis is not None
-        assert module.rank < len(red.tilde_rep.index_set)
-        texts = (machine.export("walnut"), machine.export("dot"),
-                 "\n".join(machine.state_labels))
-        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == want
+    for cutoff in (reduced._FORWARD_WINDOW, 0):
+        monkeypatch.setattr(reduced, "_FORWARD_WINDOW", cutoff)
+        for (p, a), want in GOLDEN_APERY_FORWARD.items():
+            red, built[:] = reds[p, a], []
+            window = len(red.tilde_rep.index_set)
+            machine = build_forward(red.p_tilde, red.reduced_codings[0][0], p,
+                                    red.modulus, rep=red.tilde_rep)
+            assert len(built) == (window > cutoff)
+            assert all(module.rank < window for module in built)
+            texts = (machine.export("walnut"), machine.export("dot"),
+                     "\n".join(machine.state_labels))
+            assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == want

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ctseq import engines, oracle, reduced
 from ctseq.dfao import build_forward
+from ctseq.errors import ResourceLimitError
 from ctseq.laurent import LaurentPoly
 from ctseq.primepower import build_reduction
 from ctseq.textio import preset
@@ -87,15 +88,36 @@ def _check_canonical(module, rnd):
 # Q = 0 spans the zero module, of rank 0
 @example((LaurentPoly(1, {(0,): -4, (1,): -4}), LaurentPoly.zero(1), 5, 3),
          random.Random(0))
+# the machine of Q passes the state cap
+@example((LaurentPoly(1, {(-2,): -4, (0,): -4, (1,): -4}), LaurentPoly(1, {(0,): -4}), 7, 2),
+         random.Random(0))
 def test_forward_module_coordinates(case, rnd):
     P, Q, p, a = case
+    span, built = reduced.span, []
     with pytest.MonkeyPatch.context() as mp:
-        # small windows take the Howell basis too
-        mp.setattr(reduced, "_IDENTITY_WINDOW", 0)
+        # every forward automaton is built on the module its row spans
+        mp.setattr(reduced, "_FORWARD_WINDOW", 0)
+        mp.setattr(reduced, "span", lambda *args, **kw: built.append(
+            (args[1], span(*args, **kw))) or built[-1][1])
         red = build_reduction(P, Q, p, a)
         rep, mod = red.tilde_rep, p**a
-        rows = np.stack(red.block_rows)
-        module = reduced.span(rep, rows, forward=True)
+        # one forward machine per residue of the index mod p^(a-1); one
+        # over the state cap has still built its module (the closure
+        # tests check that the cap is met on full window vectors too)
+        machines = []
+        for q in red.reduced_codings[0]:
+            try:
+                machines.append(build_forward(red.p_tilde, q, p, mod, rep=rep))
+            except ResourceLimitError:
+                machines.append(None)
+    if None not in machines:
+        n = 80
+        got = [machines[i % red.block_count].run(i // red.block_count)
+               for i in range(n)]
+        assert got == oracle.sequence(P, Q, mod, n)
+        assert got == engines.sequence(P, Q, p, a, n, "dfao", red=red)
+    assert len(built) == len(machines)
+    for row, module in built:
         basis, d = module.basis, module.rank
         assert basis is not None and basis.shape == (d, len(rep.index_set))
         # H gamma(k) = D(k) H: every image of a row lies in the module
@@ -103,16 +125,7 @@ def test_forward_module_coordinates(case, rnd):
             gamma = np.asarray(rep.gamma(k), dtype=np.int64)
             assert np.array_equal(basis @ gamma % mod, c.astype(np.int64) @ basis % mod)
         _check_canonical(module, rnd)
-        assert np.array_equal(module.vectors(module.start), rows % mod)
-        # one forward machine per residue of the index mod p^(a-1), each
-        # built on the module of its own coding row
-        n = 80
-        machines = [build_forward(red.p_tilde, q, p, mod, rep=rep)
-                    for q in red.reduced_codings[0]]
-        got = [machines[i % red.block_count].run(i // red.block_count)
-               for i in range(n)]
-    assert got == oracle.sequence(P, Q, mod, n)
-    assert got == engines.sequence(P, Q, p, a, n, "dfao", red=red)
+        assert np.array_equal(module.vectors(module.start[None]), row[None] % mod)
 
 
 def test_threads_share_one_module():
