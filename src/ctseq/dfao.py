@@ -24,29 +24,52 @@ _EXPORT_FORMATS = ("dot", "walnut")
 
 
 class Dfao:
-    """A complete automaton over digits 0..p-1 with per-state outputs."""
+    """A complete automaton over digits 0..p-1 with per-state outputs.
+
+    ``table`` (s, p) holds the id reached from state s by digit k and
+    ``outputs`` the output of every state, both as integer arrays; the
+    exporters format them a section at a time.  ``transitions`` and
+    ``outputs`` read them as lists of Python ints, built on first read.
+    """
 
     __slots__ = (
         "p",
         "modulus",
         "direction",
         "initial",
-        "transitions",
-        "outputs",
+        "_table",
+        "_outputs",
+        "_transitions",
+        "_output_list",
         "_labels",
         "_vectors",
     )
 
-    def __init__(self, p, modulus, direction, transitions, outputs,
+    def __init__(self, p, modulus, direction, table, outputs,
                  state_labels, state_vectors=None):
         self.p = p
         self.modulus = modulus
         self.direction = direction
         self.initial = 0
-        self.transitions = transitions
-        self.outputs = outputs
+        self._table = np.asarray(table)
+        self._outputs = np.asarray(outputs)
+        self._transitions = self._output_list = None
         self._labels = state_labels
         self._vectors = state_vectors
+
+    @property
+    def transitions(self):
+        """transitions[s][k]: the state reached from s by digit k."""
+        if self._transitions is None:
+            self._transitions = self._table.tolist()
+        return self._transitions
+
+    @property
+    def outputs(self):
+        """The output of every state."""
+        if self._output_list is None:
+            self._output_list = self._outputs.tolist()
+        return self._output_list
 
     @property
     def state_labels(self):
@@ -65,13 +88,15 @@ class Dfao:
 
     @property
     def state_count(self):
-        return len(self.transitions)
+        return len(self._table)
 
     def run_digits(self, digits, row=None):
         """Consume an explicit digit word in the machine's own order."""
-        state = self.initial
+        state, p = self.initial, self.p
         table = self.transitions
         for d in digits:
+            if not 0 <= d < p:
+                raise ValueError("digit %r outside 0..%d" % (d, p - 1))
             state = table[state][d]
         if self.direction == "reverse" and row is not None:
             row = np.asarray(row, dtype=np.int64)
@@ -80,7 +105,7 @@ class Dfao:
         return self.outputs[state]
 
     def run(self, n, row=None):
-        """The sequence value at index n.
+        """The sequence value at index n >= 0.
 
         The forward machine consumes the base-p digits of n least
         significant first; the reverse machine consumes them most
@@ -102,26 +127,28 @@ class Dfao:
         )
 
     def _export_walnut(self):
+        # one block per state: "<s> <output>", then "<k> -> <target>" per digit
+        n, p = self._table.shape
+        cells = np.empty((n, p + 2), dtype=np.int64)
+        cells[:, 0] = np.arange(n)
+        cells[:, 1] = self._outputs
+        cells[:, 2:] = self._table
+        block = "\n\n%d %d" + "".join("\n%d -> %%d" % k for k in range(p))
         order = "lsd" if self.direction == "forward" else "msd"
-        blocks = ["%s_%d" % (order, self.p)]
-        for s in range(self.state_count):
-            lines = ["%d %d" % (s, self.outputs[s])]
-            for d in range(self.p):
-                lines.append("%d -> %d" % (d, self.transitions[s][d]))
-            blocks.append("\n".join(lines))
-        return "\n\n".join(blocks) + "\n"
+        return "%s_%d%s\n" % (order, p, block * n % tuple(cells.ravel().tolist()))
 
     def _export_dot(self):
-        lines = ["digraph {"]
-        for s in range(self.state_count):
-            lines.append('  %d [label="%d/%d"];' % (s, s, self.outputs[s]))
-        for s in range(self.state_count):
-            for d in range(self.p):
-                lines.append(
-                    '  %d -> %d [label="%d"];' % (s, self.transitions[s][d], d)
-                )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        # the node lines, then one edge line per state and digit
+        n, p = self._table.shape
+        ids = np.arange(n)
+        nodes = np.stack([ids, ids, self._outputs], axis=1)
+        edges = np.empty((n, p, 2), dtype=np.int64)
+        edges[:, :, 0] = ids[:, None]
+        edges[:, :, 1] = self._table
+        edge = "".join('\n  %%d -> %%d [label="%d"];' % k for k in range(p))
+        return "digraph {%s%s\n}\n" % (
+            '\n  %d [label="%d/%d"];' * n % tuple(nodes.ravel().tolist()),
+            edge * n % tuple(edges.ravel().tolist()))
 
     def __repr__(self):
         return "<Dfao %s p=%d states=%d>" % (
@@ -166,8 +193,7 @@ def build_forward(P, Q, p, modulus=None, state_cap=DEFAULT_STATE_CAP, rep=None):
             nvars, {vectors[i]: c for i, c in enumerate(vec) if c}, mod))
             for vec in module.vectors(states).tolist()]
 
-    return Dfao(rep.p, mod, "forward", table.tolist(),
-                module.constants(states).tolist(), labels)
+    return Dfao(rep.p, mod, "forward", table, module.constants(states), labels)
 
 
 def build_reverse(rep, state_cap=DEFAULT_STATE_CAP):
@@ -180,8 +206,8 @@ def build_reverse(rep, state_cap=DEFAULT_STATE_CAP):
     def vectors():
         return list(zip(*module.vectors(states).T.tolist()))
 
-    machine = Dfao(rep.p, rep.modulus, "reverse", table.tolist(),
-                   module.constants(states).tolist(),
+    machine = Dfao(rep.p, rep.modulus, "reverse", table,
+                   module.constants(states),
                    lambda: ["(%s)" % ",".join(map(str, v)) for v in machine.state_vectors],
                    state_vectors=vectors)
     return machine

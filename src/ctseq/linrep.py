@@ -46,7 +46,9 @@ def check_digit_cap(p):
 
 
 def digits_lsd(n, p):
-    """Base-p digits of n, least significant first; [0] for n = 0."""
+    """Base-p digits of n >= 0, least significant first; [0] for n = 0."""
+    if n < 0:
+        raise ValueError("index must be >= 0, got %d" % n)
     if n == 0:
         return [0]
     out = []

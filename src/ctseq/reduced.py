@@ -156,17 +156,23 @@ class _Howell:
         return added
 
     def coordinates(self, cols, vals, basis, vecs):
-        """Canonical coordinates of the int64 rows ``vecs``, all in the span."""
+        """Canonical coordinates of the int64 rows ``vecs``, all in the span.
+
+        The rows are echelon with pivots at ``cols``, so the entries
+        there alone fix the coordinates; one product then checks the
+        whole row."""
         p, mod = self.p, self.modulus
-        left = np.array(vecs, dtype=np.int64) % mod
+        vecs = np.array(vecs, dtype=np.int64) % mod
+        left = vecs[:, cols]
+        pivots = basis[:, cols]
         out = np.zeros((len(left), len(cols)), dtype=np.int64)
-        for i, (c, v) in enumerate(zip(cols, vals)):
-            lead = left[:, c]
+        for i, v in enumerate(vals):
+            lead = left[:, i]
             assert not (lead % p**v).any(), "vector outside the module"
             out[:, i] = lead // p**v
-            left -= out[:, i, None] * basis[i]
+            left -= out[:, i, None] * pivots[i]
             left %= mod
-        assert not left.any(), "vector outside the module"
+        assert np.array_equal(out @ basis % mod, vecs), "vector outside the module"
         return out
 
 
@@ -178,9 +184,10 @@ def span(rep, start, forward):
     round added.  Each final row was added in some round, so its images
     are already taken; their coordinates give C(k), asserted as
     gamma(k) H^T = H^T C(k) (mod p^a), or D(k), asserted as
-    H gamma(k) = D(k) H.  The relation rows p^(a - v_i) h_i give the
-    canonical reduction.  A start that vanishes mod p^a spans the zero
-    module, of rank 0.
+    H gamma(k) = D(k) H, both by the product with which the coordinates
+    are checked.  The relation rows p^(a - v_i) h_i give the canonical
+    reduction.  A start that vanishes mod p^a spans the zero module, of
+    rank 0.
     """
     p, a, mod = rep.p, rep.a, rep.modulus
     gammas, dtype, width = rep.all_gammas(), rep.v0.dtype, len(rep.index_set)
@@ -212,12 +219,7 @@ def span(rep, start, forward):
     for k in range(p):
         # row j: the coordinates of row j's image under gamma(k)
         c = coords(images[:, k])
-        if forward:
-            assert np.array_equal(c @ basis % mod, images[:, k]), "H gamma != D H"
-        else:
-            c = c.T
-            assert np.array_equal(basis.T @ c % mod, images[:, k].T), "gamma H^T != H^T C"
-        c = c.astype(dtype)
+        c = (c if forward else c.T).astype(dtype)
         c.setflags(write=False)
         maps.append(c)
     relations = []

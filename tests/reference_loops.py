@@ -7,7 +7,9 @@ they were rebuilt on closure.Interner.step.  Each interns one state at
 a time under a dict key; tests diff the vectorized walks against them.
 ``section_poly`` is the per-cell loop that DenseChain.section_poly ran
 before it read the nonzeros in one pass, and ``settle_exponent`` the
-matrix-power loop that LinRep.settle_exponent ran before its closed form.
+matrix-power loop that LinRep.settle_exponent ran before its closed form,
+and ``export`` the per-line walnut and dot writer that Dfao.export ran
+before it formatted its tables a section at a time.
 """
 
 from collections import deque
@@ -197,6 +199,28 @@ def reverse_runs(red, count):
             sid = nxt
         out.append(int(rows[n % blocks] @ vecs[sid] % mod))
     return out
+
+
+def export(machine, format):  # noqa: A002 - Dfao.export's name
+    """Dfao.export by one format per state and digit, from its lists."""
+    p, outputs, transitions = machine.p, machine.outputs, machine.transitions
+    if format == "walnut":
+        order = "lsd" if machine.direction == "forward" else "msd"
+        blocks = ["%s_%d" % (order, p)]
+        for s in range(machine.state_count):
+            lines = ["%d %d" % (s, outputs[s])]
+            for d in range(p):
+                lines.append("%d -> %d" % (d, transitions[s][d]))
+            blocks.append("\n".join(lines))
+        return "\n\n".join(blocks) + "\n"
+    lines = ["digraph {"]
+    for s in range(machine.state_count):
+        lines.append('  %d [label="%d/%d"];' % (s, s, outputs[s]))
+    for s in range(machine.state_count):
+        for d in range(p):
+            lines.append('  %d -> %d [label="%d"];' % (s, transitions[s][d], d))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 class MorphicStream:

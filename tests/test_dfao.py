@@ -1,11 +1,16 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctseq import oracle
-from ctseq.dfao import build_forward, build_reverse
+import reference_loops as ref
+from ctseq import oracle, reduced
+from ctseq.dfao import Dfao, build_forward, build_reverse
 from ctseq.errors import ResourceLimitError
 from ctseq.laurent import LaurentPoly
 from ctseq.linrep import LinRep
 from ctseq.morphism import MorphicStream
+from ctseq.primepower import build_reduction
 from ctseq.textio import parse_poly, preset
 
 one = LaurentPoly.one(1)
@@ -192,3 +197,75 @@ def test_state_cap():
     P, Q = preset("motzkin")
     with pytest.raises(ResourceLimitError):
         build_forward(P, Q, 3, state_cap=1)
+
+
+def test_run_refuses_negative_index_and_foreign_digits():
+    P, Q = preset("motzkin")
+    rep = LinRep(P, Q, 3)
+    for d in (build_forward(P, Q, 3), build_reverse(rep)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            d.run(-1)
+        # a digit of -1 must not wrap round to the transition for p - 1
+        for digits in ([-1], [0, 3], [1, 2, -2]):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                d.run_digits(digits)
+        assert d.run_digits([0, 1, 2]) in range(3)
+
+
+def _check_exports(d):
+    """Dfao.export equals the per-line reference byte for byte, and the
+    machine's lists hold Python ints."""
+    for fmt in ("walnut", "dot"):
+        assert d.export(fmt) == ref.export(d, fmt), fmt
+    assert isinstance(d.transitions, list) and isinstance(d.outputs, list)
+    assert len(d.transitions) == len(d.outputs) == d.state_count
+    assert all(type(row) is list and len(row) == d.p for row in d.transitions)
+    assert all(type(t) is int for row in d.transitions for t in row)
+    assert all(type(x) is int for x in d.outputs)
+
+
+@st.composite
+def _random_machines(draw):
+    p = draw(st.integers(2, 13))
+    n = draw(st.integers(1, 300))
+    modulus = draw(st.sampled_from((2, 9, 125, 10**6 + 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, n, size=(n, p)).astype(
+        draw(st.sampled_from((np.int64, np.int32))))
+    outputs = rng.integers(0, modulus, size=n)
+    if modulus <= 256:
+        outputs = outputs.astype(draw(st.sampled_from((np.uint8, np.int64))))
+    direction = draw(st.sampled_from(("forward", "reverse")))
+    return table, outputs, Dfao(p, modulus, direction, table, outputs, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_machines())
+def test_export_matches_per_line_reference(case):
+    table, outputs, d = case
+    _check_exports(d)
+    assert d.transitions == table.tolist()
+    assert d.outputs == outputs.tolist()
+    assert type(d.run(d.p**3 + 1)) is int
+
+
+def test_preset_exports_match_per_line_reference(monkeypatch):
+    # the 32 machines of the golden export hashes, on full window vectors
+    # and again on Howell coordinates
+    for cutoff in (None, 0):
+        if cutoff is not None:
+            monkeypatch.setattr(reduced, "_IDENTITY_WINDOW", cutoff)
+            monkeypatch.setattr(reduced, "_FORWARD_WINDOW", cutoff)
+        for name in ("pascal", "catalan", "motzkin", "trinomial"):
+            P, Q = preset(name)
+            for p, a in ((2, 4), (3, 3), (5, 2), (7, 2)):
+                red = build_reduction(P, Q, p, a)
+                rep, q0 = red.tilde_rep, red.reduced_codings[0][0]
+                fwd = build_forward(red.p_tilde, q0, p, red.modulus, rep=rep)
+                rev = build_reverse(rep)
+                _check_exports(fwd)
+                _check_exports(rev)
+                got = [fwd.run(n) for n in range(30)]
+                assert got == [rev.run(n, row=rep.row_vector(q0)) for n in range(30)]
+                assert all(type(x) is int for x in got)
+                assert all(type(rev.run(n)) is int for n in range(30))

@@ -33,6 +33,16 @@ def test_digits_lsd():
     assert digits_lsd(11, 2) == [1, 1, 0, 1]
 
 
+def test_negative_index_is_refused():
+    # n < 0 has no base-p digits: refused, not an endless digit loop
+    P, Q = preset("motzkin")
+    rep = LinRep(P, Q, 3)
+    for call in (lambda: digits_lsd(-1, 2), lambda: digits_lsd(-10**30, 7),
+                 lambda: rep.eval_term(-1), lambda: rep.state_vector(-1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            call()
+
+
 def test_build_index_motzkin():
     P, Q = preset("motzkin")
     index = build_index(P, [Q])
