@@ -103,11 +103,12 @@ def build_parser():
     sub.add_argument("--engine", default="linrep", choices=engines.ENGINE_NAMES,
                      help="evaluation route (default linrep)")
 
-    sub = subs.add_parser("export-dfao", help="write an automaton to a file")
+    sub = subs.add_parser("export-dfao", help="write an automaton to a file or stdout")
     _add_common(sub)
     sub.add_argument("--format", required=True, choices=("dot", "walnut"))
     sub.add_argument("--direction", required=True, choices=("forward", "reverse"))
-    sub.add_argument("-o", required=True, metavar="PATH", help="output file")
+    sub.add_argument("-o", required=True, metavar="PATH",
+                     help="output file, or - for stdout")
 
     sub = subs.add_parser("freq", help="exact frequency of zero in a prefix")
     _add_common(sub)
@@ -186,6 +187,11 @@ def _cmd_export_dfao(args):
     else:
         machine = build_reverse(red.tilde_rep)
     text = machine.export(args.format)
+    if args.o == "-":
+        # the machine alone on stdout; the note goes to stderr
+        sys.stdout.write(text)
+        print("wrote stdout (%d states)" % machine.state_count, file=sys.stderr)
+        return EXIT_OK
     try:
         with open(args.o, "w", newline="") as handle:
             handle.write(text)

@@ -21,6 +21,19 @@ from .linrep import LinRep, digits_lsd
 DEFAULT_STATE_CAP = 50_000
 
 _EXPORT_FORMATS = ("dot", "walnut")
+# states formatted by one % in an export, so that the tuple of Python ints
+# it reads stays small next to the text
+_EXPORT_SLICE = 4096
+
+
+def _format_states(template, cells):
+    """``template`` formatted once per state from that state's row of the
+    int array ``cells``, as one string per slice of states."""
+    out = []
+    for lo in range(0, len(cells), _EXPORT_SLICE):
+        rows = cells[lo:lo + _EXPORT_SLICE]
+        out.append(template * len(rows) % tuple(rows.ravel().tolist()))
+    return out
 
 
 class Dfao:
@@ -135,7 +148,7 @@ class Dfao:
         cells[:, 2:] = self._table
         block = "\n\n%d %d" + "".join("\n%d -> %%d" % k for k in range(p))
         order = "lsd" if self.direction == "forward" else "msd"
-        return "%s_%d%s\n" % (order, p, block * n % tuple(cells.ravel().tolist()))
+        return "".join(["%s_%d" % (order, p), *_format_states(block, cells), "\n"])
 
     def _export_dot(self):
         # the node lines, then one edge line per state and digit
@@ -146,9 +159,8 @@ class Dfao:
         edges[:, :, 0] = ids[:, None]
         edges[:, :, 1] = self._table
         edge = "".join('\n  %%d -> %%d [label="%d"];' % k for k in range(p))
-        return "digraph {%s%s\n}\n" % (
-            '\n  %d [label="%d/%d"];' * n % tuple(nodes.ravel().tolist()),
-            edge * n % tuple(edges.ravel().tolist()))
+        return "".join(["digraph {", *_format_states('\n  %d [label="%d/%d"];', nodes),
+                        *_format_states(edge, edges), "\n}\n"])
 
     def __repr__(self):
         return "<Dfao %s p=%d states=%d>" % (

@@ -279,8 +279,12 @@ class LinRep:
     """The triple (vec(Q), gamma, V(0)) over Z/p^a Z.
 
     Matrices are built lazily in ascending digit order from one dense
-    power chain of P, which only moves forward, and cached in an
-    append-only dict: gamma(k) builds every missing matrix through k.
+    power chain, which only moves forward, and cached in an append-only
+    dict: gamma(k) builds every missing matrix through k.  The chain
+    steps P once per digit.  Given ``_chain_base=(B, s)``, with
+    B^s = P mod p^a and of the same box, it steps B s times per digit
+    and holds the same arrays (primepower.TildeReduction passes the P it
+    reduced, with s = p^(a-1), where that multiplies by fewer terms).
     Builds hold a lock, so threads sharing an instance all get the one
     cached matrix per digit.  For a > 1 the base polynomial must satisfy
     P(x)^p = P(x^p) mod p^a, which primepower.build_reduction arranges;
@@ -296,7 +300,7 @@ class LinRep:
     computed on the reach module (reduced.Module), in its coordinates.
     """
 
-    def __init__(self, P, Q, p, a=1, index_set=None):
+    def __init__(self, P, Q, p, a=1, index_set=None, _chain_base=None):
         if a < 1:
             raise ValueError("exponent a must be >= 1")
         self.p = p
@@ -325,7 +329,9 @@ class LinRep:
         v0.setflags(write=False)
         self.v0 = v0
         self._gammas = {}
-        # the power chain of P; builds run one at a time under the lock
+        # the power chain of P, taken in strides of a base polynomial;
+        # builds run one at a time under the lock
+        self._base, self._stride = (self.P, 1) if _chain_base is None else _chain_base
         self._chain = None
         self._module = None
         self._lock = threading.Lock()
@@ -362,17 +368,18 @@ class LinRep:
     def _gamma_built(self, k):
         """Build every digit matrix through gamma(k) once, in ascending
         order, from the power chain of P, checked up to P^k."""
+        stride = self._stride
         with self._lock:
             if k not in self._gammas:
                 if self._chain is None:
                     self._chain = DenseChain(
                         LaurentPoly.one(self.P.nvars, self.modulus),
-                        self.P, k, self.modulus)
+                        self._base, k * stride, self.modulus)
                 chain = self._chain
-                if chain.steps < k:
-                    chain.reserve(k)
+                if chain.steps < k * stride:
+                    chain.reserve(k * stride)
                 for j in range(len(self._gammas), k + 1):
-                    if j:
+                    for _ in range(stride if j else 0):
                         chain.step()
                     self._gammas[j] = self._gather_gamma(chain.arr, chain.offset)
                 if len(self._gammas) == self.p:

@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-from ._dense import DenseChain, power_mod
+from ._dense import DenseChain, _box, power_mod
 from .errors import ResourceLimitError, RingMismatchError
 from .laurent import LaurentPoly
 from .linrep import LinRep, build_index, check_window, digits_lsd
@@ -109,6 +109,7 @@ class TildeReduction:
                             itertools.chain.from_iterable(self.reduced_codings))
         self.tilde_rep = LinRep(
             self.p_tilde, self.reduced_codings[0][0], p, a, index_set=index,
+            _chain_base=self._chain_base(),
         )
         # per coding, its rows stacked as one (p^(a-1), |T|) block
         self._rows = []
@@ -119,6 +120,23 @@ class TildeReduction:
         self.block_rows = list(self._rows[0])
         self._stream = None
         self._stream_lock = threading.Lock()
+
+    def _chain_base(self):
+        """(B, s) whose power chain gives P~^k at step k * s.
+
+        With ell = 0, P~ = P^(p^(a-1)), so the chain of P read every
+        p^(a-1) steps holds the same arrays as the chain of P~.  It is
+        taken when it multiplies by fewer terms in all and its box equals
+        that of P~ on every axis (no face of P vanishes in P~), so the
+        dense cap refuses the same inputs; else the chain of P~ is kept.
+        """
+        P, tilde, stride = self.P, self.p_tilde, self.block_count
+        if self.ell == 0 and stride * len(P.terms) < len(tilde.terms):
+            lo, hi = _box(P.terms, P.nvars)
+            if (([stride * x for x in lo], [stride * x for x in hi])
+                    == _box(tilde.terms, P.nvars)):
+                return P, stride
+        return tilde, 1
 
     def stream(self):
         """The shared letter stream of the stable base (grown lazily)."""

@@ -112,6 +112,16 @@ class Module:
         return "<Module rank=%d of window %d>" % (self.rank, len(self.rep.index_set))
 
 
+def _product(y, basis, modulus):
+    """y @ basis % modulus for int64 residues; the product runs in float64
+    BLAS, which is exact while every dot product stays below 2^53."""
+    if len(basis) * (modulus - 1) ** 2 < 2**53:
+        y = (y.astype(np.float64) @ basis.astype(np.float64)).astype(np.int64)
+    else:
+        y = y @ basis
+    return y % modulus
+
+
 class _Howell:
     """Rows in Howell form over Z/p^a, keyed by pivot column."""
 
@@ -160,19 +170,23 @@ class _Howell:
 
         The rows are echelon with pivots at ``cols``, so the entries
         there alone fix the coordinates; one product then checks the
-        whole row."""
+        whole row.  ``left[i]`` holds the entries at pivot i, reduced only
+        when read: each of the d steps adds less than p^(2a) to them, and
+        LinRep keeps |T| p^(2a) below 2^62."""
         p, mod = self.p, self.modulus
         vecs = np.array(vecs, dtype=np.int64) % mod
-        left = vecs[:, cols]
+        left = vecs[:, cols].T.copy()
+        # row i of the basis is zero at the pivots before its own
         pivots = basis[:, cols]
-        out = np.zeros((len(left), len(cols)), dtype=np.int64)
+        out = np.empty(left.shape, dtype=np.int64)
         for i, v in enumerate(vals):
-            lead = left[:, i]
+            lead = left[i] % mod
             assert not (lead % p**v).any(), "vector outside the module"
-            out[:, i] = lead // p**v
-            left -= out[:, i, None] * pivots[i]
-            left %= mod
-        assert np.array_equal(out @ basis % mod, vecs), "vector outside the module"
+            out[i] = lead // p**v
+            left[i + 1:] -= pivots[i, i + 1:, None] * out[i]
+        out = out.T
+        assert np.array_equal(_product(out, basis, mod), vecs), \
+            "vector outside the module"
         return out
 
 
@@ -192,14 +206,15 @@ def span(rep, start, forward):
     p, a, mod = rep.p, rep.a, rep.modulus
     gammas, dtype, width = rep.all_gammas(), rep.v0.dtype, len(rep.index_set)
     x = np.asarray(start).astype(np.int64)
-    howell, taken = _Howell(p, a), []
+    # the bytes of each row added -> its images under every digit
+    howell, taken = _Howell(p, a), {}
     fresh = howell.insert(x)
     while fresh:
         block = np.array(fresh, dtype=dtype)
         # images[j, k] = row j of the block under gamma(k)
         images = np.stack([block @ g if forward else (g @ block.T).T
                            for g in gammas], axis=1) % mod
-        taken += zip(fresh, images.astype(np.int64))
+        taken.update(zip((row.tobytes() for row in fresh), images.astype(np.int64)))
         fresh = []
         for y in images.reshape(-1, width).astype(np.int64):
             fresh += howell.insert(y)
@@ -209,27 +224,27 @@ def span(rep, start, forward):
     basis = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     basis.setflags(write=False)
 
-    def coords(vecs):
-        return howell.coordinates(cols, vals, basis, vecs)
-
-    # images of the final rows, as (d, p, |T|)
-    images = np.array([next(im for x, im in taken if x is row) for row in rows],
-                      dtype=np.int64).reshape(len(rows), p, width)
+    d = len(rows)
+    # one coordinates call for the images of the final rows under every
+    # digit, the relation rows p^(a - v_i) h_i and the start
+    units = [(i, p ** (a - v)) for i, v in enumerate(vals) if v]
+    scaled = basis[[i for i, _ in units]] * np.array(
+        [unit for _, unit in units], dtype=np.int64).reshape(-1, 1)
+    images = [taken[row.tobytes()] for row in rows]
+    coords = howell.coordinates(cols, vals, basis, np.concatenate(
+        images + [scaled, x[None]]).reshape(-1, width))
+    # (j, k): the coordinates of row j's image under gamma(k)
+    images = coords[:d * p].reshape(d, p, d)
     maps = []
     for k in range(p):
-        # row j: the coordinates of row j's image under gamma(k)
-        c = coords(images[:, k])
-        c = (c if forward else c.T).astype(dtype)
+        c = (images[:, k] if forward else images[:, k].T).astype(dtype)
         c.setflags(write=False)
         maps.append(c)
     relations = []
-    for i, v in enumerate(vals):
-        if v:
-            unit = p ** (a - v)
-            relation = coords(basis[i:i + 1] * unit)[0]
-            assert not relation[:i + 1].any(), "relation row leaves the later rows"
-            relations.append((i, unit, relation))
-    start = coords(x[None])[0].astype(dtype)
+    for (i, unit), relation in zip(units, coords[d * p:-1]):
+        assert not relation[:i + 1].any(), "relation row leaves the later rows"
+        relations.append((i, unit, relation))
+    start = coords[-1].astype(dtype)
     start.setflags(write=False)
     return Module(rep, basis, maps, start, tuple(relations))
 

@@ -98,6 +98,39 @@ def test_export_dfao_dot_reverse(tmp_path, capsys):
     assert path.read_text().startswith("digraph {")
 
 
+@pytest.mark.parametrize("fmt", ["walnut", "dot"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_export_dfao_to_stdout_matches_file(tmp_path, capsys, fmt, direction):
+    argv = ["export-dfao", "--poly", "@motzkin", "-p", "3", "-a", "2",
+            "--format", fmt, "--direction", direction]
+    path = tmp_path / "machine.txt"
+    code, out, err = run_cli(capsys, *argv, "-o", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("wrote %s (" % path)
+    code, out, err = run_cli(capsys, *argv, "-o", "-")
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+    assert err.startswith("wrote stdout (")
+
+
+def test_export_dfao_to_redirected_stdout(tmp_path):
+    # stdout is a regular file here, which "-o /dev/stdout" would reopen
+    # and truncate
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctseq.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "ctseq.cli", "export-dfao", "--poly", "@pascal",
+            "-p", "2", "--format", "dot", "--direction", "reverse"]
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run(argv + ["-o", str(tmp_path / "a.dot")], env=env, check=True,
+                   capture_output=True)
+    with open(tmp_path / "b.dot", "wb") as handle:
+        proc = subprocess.run(argv + ["-o", "-"], env=env, stdout=handle,
+                              stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("wrote stdout (")
+    assert (tmp_path / "b.dot").read_bytes() == (tmp_path / "a.dot").read_bytes()
+
+
 def test_freq_output(capsys):
     code, out, _ = run_cli(capsys, "freq", "--poly", "@trinomial", "-p", "3",
                            "-n", "729")
@@ -314,7 +347,7 @@ _SUBCOMMANDS = {
                     ("--direction", st.sampled_from(["forward", "reverse"]),
                      st.just("up")),
                     # TMP is the test's temporary directory
-                    ("-o", st.just("TMP/machine.txt"),
+                    ("-o", st.sampled_from(["TMP/machine.txt", "-"]),
                      st.sampled_from(["TMP/missing/machine.txt", "TMP"]))],
     "freq": [("--poly", _POLY, _JUNK_POLY), ("-p", _ints(2, 5), _JUNK_INT),
              ("-a", _ints(1, 3), _JUNK_INT), ("-n", _ints(1, 30), _JUNK_INT)],

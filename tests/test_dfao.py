@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from ctseq import oracle, reduced
+from ctseq import dfao, oracle, reduced
 from ctseq.dfao import Dfao, build_forward, build_reverse
 from ctseq.errors import ResourceLimitError
 from ctseq.laurent import LaurentPoly
@@ -247,6 +249,15 @@ def test_export_matches_per_line_reference(case):
     assert d.transitions == table.tolist()
     assert d.outputs == outputs.tolist()
     assert type(d.run(d.p**3 + 1)) is int
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_machines(), st.integers(1, 300))
+def test_export_slices_join_to_the_per_line_reference(case, size):
+    # states are formatted a slice at a time; any slice size, including
+    # ones that do not divide the state count, gives the same bytes
+    with mock.patch.object(dfao, "_EXPORT_SLICE", size):
+        _check_exports(case[2])
 
 
 def test_preset_exports_match_per_line_reference(monkeypatch):

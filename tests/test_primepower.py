@@ -1,14 +1,16 @@
+import math
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from ctseq import oracle, primepower
-from ctseq._dense import DenseChain
+from ctseq import _dense, oracle, primepower
+from ctseq._dense import DenseChain, _box
 from ctseq.errors import ResourceLimitError, RingMismatchError
 from ctseq.laurent import LaurentPoly
 from ctseq.linrep import LinRep
@@ -254,3 +256,107 @@ def test_chain_sections_match_per_cell_loop(case):
             got = chain.section_poly(k)
             assert got == want.lambda_k(k), (s, k)
             assert list(got.terms.items()) == list(ref.section_poly(chain, k).terms.items())
+
+
+# ---------------------------------------------------------------------------
+# the stable base's maps from the power chain of P or of P~
+# ---------------------------------------------------------------------------
+
+
+def _maps_through(red, base):
+    """Every digit map of red's stable base, as bytes, built from the
+    power chain of ``base`` = (polynomial, steps per digit)."""
+    rep = LinRep(red.p_tilde, red.reduced_codings[0][0], red.p, red.a,
+                 index_set=red.tilde_rep.index_set, _chain_base=base)
+    return [g.tobytes() for g in rep.all_gammas()]
+
+
+def _check_both_chains(red):
+    # the default build equals the chain of P~; with ell = 0 so does the
+    # chain of P read every p^(a-1) steps, whatever its box
+    tilde = _maps_through(red, (red.p_tilde, 1))
+    assert [g.tobytes() for g in red.tilde_rep.all_gammas()] == tilde
+    if red.ell == 0:
+        assert _maps_through(red, (red.P, red.block_count)) == tilde
+    else:
+        # there P~^k is a section of P^(k p^(a-1)), not the power itself
+        assert red.tilde_rep._stride == 1
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", ["pascal", "catalan", "motzkin", "trinomial"])
+def test_chain_of_p_builds_the_same_maps_univariate_presets(name, p, a):
+    red = build_reduction(*preset(name), p, a)
+    _check_both_chains(red)
+    # no gap in the exponents: P~ has at most p^(a-1) |P| terms
+    assert red.tilde_rep._stride == 1
+
+
+@pytest.mark.parametrize("p, a", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_chain_of_p_builds_the_same_maps_apery(p, a):
+    red = build_reduction(*preset("apery"), p, a)
+    _check_both_chains(red)
+    assert red.tilde_rep._stride == p ** (a - 1)
+
+
+def test_chain_of_p_builds_the_same_maps_corpus(corpus_pairs):
+    # Pascal (1 + x) and Catalan have ell > 0 mod 2^a
+    pairs = corpus_pairs + [preset("pascal"), preset("catalan")]
+    ells = set()
+    for P, Q in pairs:
+        for p in (2, 3, 5, 7):
+            for a in (1, 2, 3):
+                red = build_reduction(P, Q, p, a)
+                ells.add(red.ell)
+                _check_both_chains(red)
+    assert ells > {0}
+
+
+def _refusal(red, base):
+    """The dense cap's message when building every map through ``base``, or None."""
+    try:
+        _maps_through(red, base)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _multivariate_bases(draw):
+    r = draw(st.sampled_from((2, 3)))
+    p = draw(st.sampled_from((2, 3, 5)))
+    # at most 9 steps per digit keeps the windows of three variables in the cap
+    a = draw(st.integers(2, 3 if r == 2 else 2 + (p == 2)))
+    exps = st.tuples(*[st.integers(-1, 1)] * r)
+    terms = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool),
+                                 min_size=2, max_size=7))
+    if draw(st.booleans()):
+        # a term at a corner of the box, scaled by p, vanishes in
+        # P^(p^(a-1)) mod p^a and shrinks the box of P~
+        corner = max(terms, key=lambda e: sum(map(abs, e)))
+        terms[corner] *= p
+    return LaurentPoly(r, terms), p, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multivariate_bases())
+def test_chain_of_p_builds_the_same_maps_and_refusals_multivariate(case):
+    P, p, a = case
+    try:
+        red = build_reduction(P, LaurentPoly.one(P.nvars), p, a)
+    except ResourceLimitError:
+        return
+    _check_both_chains(red)
+    base = red._chain_base()
+    if base[1] == 1:
+        return
+    # the cap allows exactly the cells of the chain of P~ through digit p - 1,
+    # then one fewer; the chain of P is refused at the same caps, alike
+    lo, hi = _box(red.p_tilde.terms, P.nvars)
+    cells = math.prod(1 + (p - 1) * (h - l) for l, h in zip(lo, hi))
+    for cap in (cells, cells - 1):
+        with mock.patch.object(_dense, "DEFAULT_DENSE_CAP", cap):
+            want = _refusal(red, (red.p_tilde, 1))
+            assert (want is None) == (cap == cells)
+            assert _refusal(red, base) == want

@@ -169,17 +169,21 @@ def test_threads_share_one_module():
 
 
 def test_coordinates_refuse_vectors_outside_the_module():
-    # over Z/9, (3, 1, 0) spans the rows (3, 1, 0) and (0, 3, 0)
-    howell = reduced._Howell(3, 2)
-    howell.insert(np.array([3, 1, 0]))
-    cols = sorted(howell.rows)
-    vals = [howell.rows[c][0] for c in cols]
-    basis = np.array([howell.rows[c][1] for c in cols])
-    assert (cols, vals, basis.tolist()) == ([0, 1], [1, 1], [[3, 1, 0], [0, 3, 0]])
-    got = howell.coordinates(cols, vals, basis, [[6, 5, 0], [-3, 8, 9]])
-    assert got.tolist() == [[2, 1], [2, 2]]
-    # a pivot entry that the pivot does not divide, and an entry off the
-    # pivot columns, which only the whole-row check sees
-    for outside in ([1, 0, 0], [3, 1, 1]):
-        with pytest.raises(AssertionError, match="outside the module"):
-            howell.coordinates(cols, vals, basis, [[6, 5, 0], outside])
+    # the whole-row check runs in float64 at p = 3 and in int64 at
+    # p = 10007, where 2 (p^2 - 1)^2 passes 2^53
+    for p in (3, 10007):
+        # over Z/p^2, (p, 1, 0) spans the rows (p, 1, 0) and (0, p, 0)
+        howell = reduced._Howell(p, 2)
+        howell.insert(np.array([p, 1, 0]))
+        cols = sorted(howell.rows)
+        vals = [howell.rows[c][0] for c in cols]
+        basis = np.array([howell.rows[c][1] for c in cols])
+        assert (cols, vals, basis.tolist()) == ([0, 1], [1, 1], [[p, 1, 0], [0, p, 0]])
+        inside = [[2 * p, p + 2, 0], [2 * p - p * p, 2 * p + 2, p * p]]
+        got = howell.coordinates(cols, vals, basis, inside)
+        assert got.tolist() == [[2, 1], [2, 2]]
+        # a pivot entry that the pivot does not divide, and an entry off
+        # the pivot columns, which only the whole-row check sees
+        for outside in ([1, 0, 0], [p, 1, 1]):
+            with pytest.raises(AssertionError, match="outside the module"):
+                howell.coordinates(cols, vals, basis, [inside[0], outside])
